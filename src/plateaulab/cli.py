@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -75,23 +76,20 @@ def _check(name: str, passed: bool, margin_sigmas=None) -> dict:
     return {"name": name, "passed": bool(passed), "margin_sigmas": margin_sigmas}
 
 
-# --- subcommand implementations ---------------------------------------------
+# --- experiments: each returns (columns, rows, checks) -----------------------
 
-def _cmd_verify_circuit(args) -> tuple[dict, float]:
-    t0 = time.monotonic()
+def _verify_circuit(args):
     rows = []
-    worst = 0.0
     for n in range(1, args.n_max + 1):
         stack = RandomStack(args.seed, n)
         max_dev = 0.0
         for _ in range(args.trials):
-            u = stack.pop()
-            hidden = GridShift.from_index(n, min(int((u + 1) / 2 * 3**n), 3**n - 1))
+            hidden = GridShift.from_index(n, stack.pop_index(3**n))
             f = circuits.ShiftedProductFunction(n, hidden)
             x = TorusPoint((stack.pop_batch(n) + 1.0) / 2.0)
             max_dev = max(max_dev, abs(circuits.tensor_sim(f, x) - f(x)))
-        worst = max(worst, max_dev)
         rows.append({"n": n, "trials": args.trials, "max_abs_dev": max_dev})
+    worst = max([r["max_abs_dev"] for r in rows], default=0.0)
     anchor_err = max(
         abs(circuits.single_qubit_sim(0.0) - 1.0),
         abs(circuits.single_qubit_sim(1.0 / 3.0)),
@@ -101,215 +99,106 @@ def _cmd_verify_circuit(args) -> tuple[dict, float]:
         _check("tensor-vs-analytic-agreement", worst <= args.tol),
         _check("single-qubit-anchor-values", anchor_err <= 1e-12),
     ]
-    config = vars(args).copy()
-    config.pop("func", None)
-    return _report(config, ["n", "trials", "max_abs_dev"], rows, checks, t0), worst
+    return ["n", "trials", "max_abs_dev"], rows, checks
 
 
-def cmd_verify_circuit(args) -> int:
-    report, _ = _cmd_verify_circuit(args)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK if all(c["passed"] for c in report["checks"]) else EXIT_BOUND_VIOLATION
-
-
-def cmd_bounds(args) -> int:
-    t0 = time.monotonic()
-    rows = []
-    ok_hoeffding = ok_tight = True
-    for n in range(1, args.n_max + 1):
-        b = game.bounds(n)
-        rows.append(
-            {
-                "n": n,
-                "delta": b.delta,
-                "p_exact": b.p_exact,
-                "p_hoeffding": b.p_hoeffding,
-            }
-        )
-        ok_hoeffding &= b.p_exact <= b.p_hoeffding
-        ok_tight &= b.p_exact <= float(np.exp(-n / 18))
-    checks = [
-        _check("p-exact-below-hoeffding", ok_hoeffding),
-        _check("p-exact-below-tight-exponent", ok_tight),
+def _bounds(args):
+    bs = [game.bounds(n) for n in range(1, args.n_max + 1)]
+    rows = [
+        {"n": b.n, "delta": b.delta, "p_exact": b.p_exact, "p_hoeffding": b.p_hoeffding}
+        for b in bs
     ]
-    config = vars(args).copy()
-    config.pop("func", None)
-    report = _report(config, ["n", "delta", "p_exact", "p_hoeffding"], rows, checks, t0)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK if ok_hoeffding and ok_tight else EXIT_BOUND_VIOLATION
+    checks = [
+        _check("p-exact-below-hoeffding", all(b.p_exact <= b.p_hoeffding for b in bs)),
+        _check(
+            "p-exact-below-tight-exponent",
+            all(b.p_exact <= float(np.exp(-b.n / 18)) for b in bs),
+        ),
+    ]
+    return ["n", "delta", "p_exact", "p_hoeffding"], rows, checks
 
 
-def cmd_game(args) -> int:
-    t0 = time.monotonic()
-    rows_raw = game.estimate_win_cdf(
+def _cdf_table(cdf: list[game.CdfRow], check_name: str):
+    checks = [_check(check_name, not any(r.exceeded for r in cdf))]
+    return ["m", "cdf", "stderr", "bound", "exceeded"], [asdict(r) for r in cdf], checks
+
+
+def _game(args):
+    cdf = game.estimate_win_cdf(
         args.n, args.strategy, args.trials, args.m_max, args.seed, args.workers
     )
-    rows = [
-        {
-            "m": r.m,
-            "cdf": r.cdf,
-            "stderr": r.stderr,
-            "bound": r.bound,
-            "exceeded": r.exceeded,
-        }
-        for r in rows_raw
-    ]
-    passed = not any(r.exceeded for r in rows_raw)
-    checks = [_check("win-cdf-linear-bound", passed)]
-    config = vars(args).copy()
-    config.pop("func", None)
-    report = _report(config, ["m", "cdf", "stderr", "bound", "exceeded"], rows, checks, t0)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK if passed else EXIT_BOUND_VIOLATION
+    return _cdf_table(cdf, "win-cdf-linear-bound")
 
 
-def cmd_train(args) -> int:
-    t0 = time.monotonic()
-    alpha = args.alpha
-    if alpha is None:
-        alpha = training.default_alpha(args.n)  # raises for n <= 3
-    results = training.trainer_sweep(
-        args.algo, args.n, alpha, args.budget, args.trials, args.seed, args.workers
-    )
-    rows = [
-        {
-            "trial": t,
-            "queries_total": q,
-            "succeeded": s,
-            "first_exit": fe,
-        }
-        for t, q, s, fe in results
-    ]
-    config = vars(args).copy()
-    config.pop("func", None)
-    config["alpha"] = alpha
-    report = _report(
-        config, ["trial", "queries_total", "succeeded", "first_exit"], rows, [], t0
-    )
-    qs = [q for _, q, _, _ in results]
-    report["summary"] = {
-        "median_queries": float(np.median(qs)),
-        "success_rate": sum(1 for _, _, s, _ in results if s) / len(results),
-    }
-    _write_report(report, args.format, args.out)
-    return EXIT_OK
-
-
-def cmd_exit_time(args) -> int:
-    t0 = time.monotonic()
-    rows_raw = training.exit_time_experiment(
+def _exit_time(args):
+    cdf = training.exit_time_experiment(
         args.algo, args.n, args.m_max, args.trials, args.seed, args.workers
     )
-    rows = [
-        {
-            "m": r.m,
-            "cdf": r.cdf,
-            "stderr": r.stderr,
-            "bound": r.bound,
-            "exceeded": r.exceeded,
-        }
-        for r in rows_raw
-    ]
-    passed = not any(r.exceeded for r in rows_raw)
-    checks = [_check("exit-cdf-bound", passed)]
-    config = vars(args).copy()
-    config.pop("func", None)
-    report = _report(config, ["m", "cdf", "stderr", "bound", "exceeded"], rows, checks, t0)
-    _write_report(report, args.format, args.out)
-    return EXIT_OK if passed else EXIT_BOUND_VIOLATION
+    return _cdf_table(cdf, "exit-cdf-bound")
 
 
-def cmd_diverge(args) -> int:
-    t0 = time.monotonic()
+def _train(args):
+    if args.alpha is None:
+        # set on args so the report's config records the alpha actually used
+        args.alpha = training.default_alpha(args.n)  # raises for n <= 3
+    results = training.trainer_sweep(
+        args.algo, args.n, args.alpha, args.budget, args.trials, args.seed, args.workers
+    )
+    columns = ["trial", "queries_total", "succeeded", "first_exit"]
+    return columns, [dict(zip(columns, r)) for r in results], []
+
+
+def _diverge(args):
     phat, stderr = training.divergence_experiment(
         args.algo, args.n, args.m, args.trials, args.eta, args.seed, args.workers
     )
     bound = game.delta_bound(args.n) * args.m / 2.0
     exceeded = phat > bound + 3 * stderr
     margin = (bound - phat) / stderr if stderr > 0 else None
-    rows = [
-        {
-            "n": args.n,
-            "m": args.m,
-            "trials": args.trials,
-            "divergence_rate": phat,
-            "stderr": stderr,
-            "bound": bound,
-            "exceeded": exceeded,
-        }
-    ]
-    checks = [_check("divergence-rate-bound", not exceeded, margin)]
-    config = vars(args).copy()
-    config.pop("func", None)
-    report = _report(
-        config,
-        ["n", "m", "trials", "divergence_rate", "stderr", "bound", "exceeded"],
-        rows,
-        checks,
-        t0,
-    )
-    _write_report(report, args.format, args.out)
-    return EXIT_OK if not exceeded else EXIT_BOUND_VIOLATION
+    columns = ["n", "m", "trials", "divergence_rate", "stderr", "bound", "exceeded"]
+    row = dict(zip(columns, (args.n, args.m, args.trials, phat, stderr, bound, exceeded)))
+    return columns, [row], [_check("divergence-rate-bound", not exceeded, margin)]
 
 
-def cmd_mi(args) -> int:
-    t0 = time.monotonic()
+def _mi(args):
     if args.strategy == "fixed":
-        point = tuple(float(v) for v in args.point.split(","))
-        spec = ("fixed", point)
+        if not args.point:
+            raise ValueError("--strategy fixed requires --point")
+        spec = ("fixed", tuple(float(v) for v in args.point.split(",")))
     else:
         spec = "uniform"
     mi, stderr = info.transcript_mi(
         args.n, spec, args.m, args.transcripts, args.seed, args.workers
     )
-    upper = args.n * info.LOG2_3
-    ok = -3 * stderr <= mi <= upper + 3 * stderr
-    rows = [
-        {
-            "n": args.n,
-            "m": args.m,
-            "transcripts": args.transcripts,
-            "mi_bits": mi,
-            "stderr": stderr,
-        }
-    ]
-    checks = [_check("mi-information-range", ok)]
-    config = vars(args).copy()
-    config.pop("func", None)
-    report = _report(
-        config, ["n", "m", "transcripts", "mi_bits", "stderr"], rows, checks, t0
-    )
-    _write_report(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_BOUND_VIOLATION
+    ok = -3 * stderr <= mi <= args.n * info.LOG2_3 + 3 * stderr
+    columns = ["n", "m", "transcripts", "mi_bits", "stderr"]
+    row = dict(zip(columns, (args.n, args.m, args.transcripts, mi, stderr)))
+    return columns, [row], [_check("mi-information-range", ok)]
 
 
-def cmd_identify(args) -> int:
-    t0 = time.monotonic()
+def _identify(args):
     unique_rate, correct_rate, ambiguous = info.identification_rates(
         args.n, args.trials, args.tol, args.seed, args.workers
     )
-    ok = correct_rate == 1.0
-    rows = [
-        {
-            "n": args.n,
-            "trials": args.trials,
-            "unique_rate": unique_rate,
-            "correct_rate": correct_rate,
-            "ambiguous": ambiguous,
-        }
-    ]
-    checks = [_check("single-query-identification", ok)]
+    columns = ["n", "trials", "unique_rate", "correct_rate", "ambiguous"]
+    row = dict(zip(columns, (args.n, args.trials, unique_rate, correct_rate, ambiguous)))
+    return columns, [row], [_check("single-query-identification", correct_rate == 1.0)]
+
+
+def run_experiment(args) -> int:
+    """Run the subcommand's experiment, write its report, map checks to an exit code."""
+    t0 = time.monotonic()
+    columns, rows, checks = args.func(args)
     config = vars(args).copy()
     config.pop("func", None)
-    report = _report(
-        config,
-        ["n", "trials", "unique_rate", "correct_rate", "ambiguous"],
-        rows,
-        checks,
-        t0,
-    )
+    report = _report(config, columns, rows, checks, t0)
+    if args.command == "train":
+        report["summary"] = {
+            "median_queries": float(np.median([r["queries_total"] for r in rows])),
+            "success_rate": sum(1 for r in rows if r["succeeded"]) / len(rows),
+        }
     _write_report(report, args.format, args.out)
-    return EXIT_OK if ok else EXIT_BOUND_VIOLATION
+    return EXIT_OK if all(c["passed"] for c in checks) else EXIT_BOUND_VIOLATION
 
 
 # --- parser -----------------------------------------------------------------
@@ -338,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
     _add_common(p)
-    p.set_defaults(func=cmd_verify_circuit)
+    p.set_defaults(func=_verify_circuit)
 
     p = sub.add_parser("bounds", help="delta, exact p and Hoeffding p per n")
     p.add_argument("--n-max", type=int, default=12)
     _add_common(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=_bounds)
 
     p = sub.add_parser("game", help="plateau-game win-round CDF vs linear bound")
     p.add_argument("--n", type=int, required=True)
@@ -351,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--m-max", type=int, default=50)
     _add_common(p)
-    p.set_defaults(func=cmd_game)
+    p.set_defaults(func=_game)
 
     p = sub.add_parser("train", help="run trainers against the sample oracle")
     p.add_argument("--algo", choices=training.ALGORITHMS, default="random")
@@ -360,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--budget", type=int, default=100000)
     _add_common(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=_train)
 
     p = sub.add_parser("exit-time", help="first-exit CDF vs combined bound")
     p.add_argument("--algo", choices=training.ALGORITHMS, default="random")
@@ -368,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--m-max", type=int, default=50)
     _add_common(p)
-    p.set_defaults(func=cmd_exit_time)
+    p.set_defaults(func=_exit_time)
 
     p = sub.add_parser("diverge", help="coupled-run divergence rate vs bound")
     p.add_argument("--algo", choices=training.ALGORITHMS, default="random")
@@ -377,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--eta", type=float, default=0.0)
     _add_common(p)
-    p.set_defaults(func=cmd_diverge)
+    p.set_defaults(func=_diverge)
 
     p = sub.add_parser("mi", help="mutual information of sample transcripts")
     p.add_argument("--n", type=int, required=True)
@@ -386,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=("uniform", "fixed"), default="uniform")
     p.add_argument("--point", default=None, help="comma-separated fixed query point")
     _add_common(p)
-    p.set_defaults(func=cmd_mi)
+    p.set_defaults(func=_mi)
 
     p = sub.add_parser("identify", help="one-shot identification from an evaluation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-9)
     _add_common(p)
-    p.set_defaults(func=cmd_identify)
+    p.set_defaults(func=_identify)
 
     return parser
 
@@ -401,17 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "mi" and args.strategy == "fixed" and not args.point:
-        print("error: --strategy fixed requires --point", file=sys.stderr)
-        return EXIT_BAD_CONFIG
     try:
-        return args.func(args)
+        return run_experiment(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-
-
-run_command = main
 
 
 if __name__ == "__main__":

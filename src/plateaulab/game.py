@@ -178,12 +178,6 @@ def play_game(
     return GameRecord(hidden, queries, None)
 
 
-def _draw_hidden(n: int, stack: RandomStack) -> GridShift:
-    u = stack.pop()
-    idx = min(int((u + 1.0) / 2.0 * GRID_BASE**n), GRID_BASE**n - 1)
-    return GridShift.from_index(n, idx)
-
-
 def win_round_counts(
     n: int, strategy_name: str, start: int, count: int, m_max: int, seed: int
 ) -> np.ndarray:
@@ -191,7 +185,7 @@ def win_round_counts(
     counts = np.zeros(m_max, dtype=np.int64)
     for trial in range(start, start + count):
         stack = RandomStack(seed, trial)
-        hidden = _draw_hidden(n, stack)
+        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
         rec = play_game(n, hidden, make_strategy(strategy_name, n), m_max, stack)
         if rec.win_round is not None:
             counts[rec.win_round - 1] += 1
@@ -199,12 +193,26 @@ def win_round_counts(
 
 
 @dataclass(frozen=True)
-class WinCdfRow:
+class CdfRow:
     m: int
     cdf: float
     stderr: float
-    bound: float  # p_exact * m
+    bound: float  # rate * m
     exceeded: bool  # cdf > bound + 3 * stderr
+
+
+def cdf_rows(counts: np.ndarray, trials: int, rate: float) -> list[CdfRow]:
+    """CDF rows m = 1..len(counts) of a first-event histogram over trials,
+    each against the linear bound rate * m."""
+    rows = []
+    cum = 0
+    for m in range(1, len(counts) + 1):
+        cum += int(counts[m - 1])
+        cdf = cum / trials
+        stderr = math.sqrt(cdf * (1.0 - cdf) / trials)
+        bound = rate * m
+        rows.append(CdfRow(m, cdf, stderr, bound, cdf > bound + 3 * stderr))
+    return rows
 
 
 def estimate_win_cdf(
@@ -214,7 +222,7 @@ def estimate_win_cdf(
     m_max: int,
     seed: int,
     workers: int = 1,
-) -> list[WinCdfRow]:
+) -> list[CdfRow]:
     """Empirical CDF of the win round, with the linear first-round bound."""
     if games < 1:
         raise ValueError("games must be >= 1")
@@ -224,13 +232,4 @@ def estimate_win_cdf(
         (n, strategy_name, s, c, m_max, seed) for s, c in chunk_ranges(games)
     ]
     counts = sum(run_chunks(win_round_counts, chunks, workers))
-    p = float(p_exact_fraction(n))
-    rows = []
-    cum = 0
-    for m in range(1, m_max + 1):
-        cum += int(counts[m - 1])
-        cdf = cum / games
-        stderr = math.sqrt(cdf * (1.0 - cdf) / games)
-        bound = p * m
-        rows.append(WinCdfRow(m, cdf, stderr, bound, cdf > bound + 3 * stderr))
-    return rows
+    return cdf_rows(counts, games, float(p_exact_fraction(n)))

@@ -10,18 +10,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
-from .circuits import h_eval_array
+from .circuits import ShiftedProductFunction, h_eval_array
+from .game import Strategy, uniform_strategy
 from .oracles import RandomStack, eval_query
 from .torus import GRID_BASE, GridShift, TorusPoint
 
 LOG2_3 = math.log2(3)
 
 MI_N_CAP = 8  # 3**n posteriors must fit comfortably
+IDENTIFY_N_CAP = 13  # 3**n x n trit table + gathers, ~16 n 3**n bytes: 0.33 GB at 13
 
 
 class InconsistentOracleError(RuntimeError):
@@ -127,29 +129,18 @@ def omnipotent_identify(
 
 # --- transcript mutual information ------------------------------------------
 
-MIStrategy = Callable[[int, RandomStack, list[int]], TorusPoint]
-
-
-def uniform_query_strategy(n: int) -> MIStrategy:
-    def strat(round_idx: int, stack: RandomStack, outcomes: list[int]) -> TorusPoint:
-        u = stack.pop_batch(n)
-        return TorusPoint((u + 1.0) / 2.0)
-
-    return strat
-
-
-def fixed_point_strategy(point: TorusPoint) -> MIStrategy:
+def fixed_point_strategy(point: TorusPoint) -> Strategy:
     def strat(round_idx: int, stack: RandomStack, outcomes: list[int]) -> TorusPoint:
         return point
 
     return strat
 
 
-def _make_mi_strategy(spec, n: int) -> MIStrategy:
+def _make_mi_strategy(spec, n: int) -> Strategy:
     if callable(spec):
         return spec
     if spec == "uniform":
-        return uniform_query_strategy(n)
+        return uniform_strategy(n)
     if isinstance(spec, tuple) and spec[0] == "fixed":
         point = TorusPoint(spec[1])
         if len(point) != n:
@@ -167,8 +158,7 @@ def mi_transcript_chunk(
     for trial in range(start, start + count):
         stack = RandomStack(seed, trial)
         strat = _make_mi_strategy(strategy_spec, n)
-        u = stack.pop()
-        hidden = min(int((u + 1.0) / 2.0 * GRID_BASE**n), GRID_BASE**n - 1)
+        hidden = stack.pop_index(GRID_BASE**n)
         weights = np.full(GRID_BASE**n, 1.0 / GRID_BASE**n)
         outcomes: list[int] = []
         for q in range(1, m + 1):
@@ -204,6 +194,8 @@ def transcript_mi(
         raise ValueError(f"n={n} exceeds posterior cap {MI_N_CAP}")
     if transcripts < 1:
         raise ValueError("transcripts must be >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if m == 0:
         return 0.0, 0.0
     if callable(strategy_spec) and workers > 1:
@@ -227,15 +219,10 @@ def identify_chunk(
     n: int, tol: float, start: int, count: int, seed: int
 ) -> tuple[int, int, int]:
     """(unique, unique_and_correct, ambiguous) counts over a chunk of trials."""
-    from .circuits import ShiftedProductFunction
-
     unique = correct = ambiguous = 0
     for trial in range(start, start + count):
         stack = RandomStack(seed, trial)
-        u = stack.pop()
-        hidden = GridShift.from_index(
-            n, min(int((u + 1.0) / 2.0 * GRID_BASE**n), GRID_BASE**n - 1)
-        )
+        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
         oracle = ShiftedProductFunction(n, hidden)
         res = omnipotent_identify(n, oracle, stack, tol)
         if res.unique:
@@ -252,6 +239,11 @@ def identification_rates(
 ) -> tuple[float, float, int]:
     """(unique rate, unique-and-correct rate, ambiguous count) over trials
     with a uniformly hidden shift."""
+    if n > IDENTIFY_N_CAP:
+        raise ValueError(
+            f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: candidate tables need"
+            f" about {16 * n * GRID_BASE**n / 1e9:.3g} GB"
+        )
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunks = [(n, tol, s, c, seed) for s, c in chunk_ranges(trials)]

@@ -60,6 +60,10 @@ class RandomStack:
         self.draw_index = k + 1
         return float(buf[k - self._buf_start])
 
+    def pop_index(self, size: int) -> int:
+        """Pop one uniform and map it to an index in [0, size)."""
+        return min(int((self.pop() + 1.0) / 2.0 * size), size - 1)
+
     def pop_batch(self, count: int) -> np.ndarray:
         """Pop `count` uniforms at once; identical values to `count` pops."""
         out = self._uniforms(self.draw_index, count)

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
 from .circuits import ShiftedProductFunction
-from .game import PlateauRegion, delta_bound, p_exact_fraction
+from .game import CdfRow, PlateauRegion, cdf_rows, delta_bound, p_exact_fraction
 from .oracles import RandomStack, Transcript, clamp_to_plateau, coupled_sample, sample_query
 from .torus import GRID_BASE, GridShift, TorusPoint
 
@@ -190,12 +190,6 @@ def _run_random_batched(
     return TrainerResult("random", n, f.shift, budget, first_exit, None, False, budget)
 
 
-def _draw_hidden(n: int, stack: RandomStack) -> GridShift:
-    u = stack.pop()
-    idx = min(int((u + 1.0) / 2.0 * GRID_BASE**n), GRID_BASE**n - 1)
-    return GridShift.from_index(n, idx)
-
-
 # --- trial sweeps -----------------------------------------------------------
 
 def trainer_trials_chunk(
@@ -205,7 +199,7 @@ def trainer_trials_chunk(
     rows = []
     for trial in range(start, start + count):
         stack = RandomStack(seed, trial)
-        hidden = _draw_hidden(n, stack)
+        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
         f = ShiftedProductFunction(n, hidden)
         res = run_trainer(algo, f, alpha, budget, stack)
         rows.append((trial, res.queries_total, res.succeeded, res.first_exit))
@@ -221,6 +215,8 @@ def trainer_sweep(
     seed: int,
     workers: int = 1,
 ) -> list[tuple[int, int, bool, Optional[int]]]:
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     chunks = [
         (algo, n, alpha, budget, s, c, seed) for s, c in chunk_ranges(trials)
     ]
@@ -242,7 +238,7 @@ def divergence_chunk(
     diverged = 0
     for trial in range(start, start + count):
         stack = RandomStack(seed, trial)
-        hidden = _draw_hidden(n, stack)
+        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
         f = ShiftedProductFunction(n, hidden)
         fbar = clamp_to_plateau(f, PlateauRegion(n, hidden), eta)
         engine = make_engine(algo, n, stack)
@@ -285,7 +281,7 @@ def exit_time_chunk(
     counts = np.zeros(m_max, dtype=np.int64)
     for trial in range(start, start + count):
         stack = RandomStack(seed, trial)
-        hidden = _draw_hidden(n, stack)
+        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
         f = ShiftedProductFunction(n, hidden)
         region = PlateauRegion(n, hidden)
         engine = make_engine(algo, n, stack)
@@ -300,15 +296,6 @@ def exit_time_chunk(
     return counts
 
 
-@dataclass(frozen=True)
-class ExitCdfRow:
-    m: int
-    cdf: float
-    stderr: float
-    bound: float  # (p_exact + delta/2) * m
-    exceeded: bool
-
-
 def exit_time_experiment(
     algo: str,
     n: int,
@@ -316,19 +303,11 @@ def exit_time_experiment(
     trials: int,
     seed: int,
     workers: int = 1,
-) -> list[ExitCdfRow]:
-    """Empirical CDF of the first query landing outside the hidden plateau."""
+) -> list[CdfRow]:
+    """Empirical CDF of the first query landing outside the hidden plateau,
+    against the combined bound (p_exact + delta/2) * m."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunks = [(algo, n, m_max, s, c, seed) for s, c in chunk_ranges(trials)]
     counts = sum(run_chunks(exit_time_chunk, chunks, workers))
-    rate = float(p_exact_fraction(n)) + delta_bound(n) / 2.0
-    rows = []
-    cum = 0
-    for m in range(1, m_max + 1):
-        cum += int(counts[m - 1])
-        cdf = cum / trials
-        stderr = math.sqrt(cdf * (1.0 - cdf) / trials)
-        bound = rate * m
-        rows.append(ExitCdfRow(m, cdf, stderr, bound, cdf > bound + 3 * stderr))
-    return rows
+    return cdf_rows(counts, trials, float(p_exact_fraction(n)) + delta_bound(n) / 2.0)

@@ -1,12 +1,19 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from plateaulab import training
 from plateaulab.cli import (
+    DEFAULT_SEED,
     EXIT_BAD_CONFIG,
+    EXIT_BOUND_VIOLATION,
     EXIT_OK,
     main,
 )
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _read(path):
@@ -65,12 +72,69 @@ def test_identify_small(tmp_path):
     assert row.split(",")[3] == "1"
 
 
-def test_game_csv_workers_byte_identical(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["game", "--n", "4", "--trials", "2500", "--m-max", "15", "--seed", "9"]
-    assert main(argv + ["--workers", "1", "--out", str(a)]) == EXIT_OK
-    assert main(argv + ["--workers", "3", "--out", str(b)]) == EXIT_OK
-    assert _read(a) == _read(b)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "--n", "4", "--trials", "2500", "--m-max", "15"],
+        ["train", "--n", "4", "--trials", "1500", "--budget", "50"],
+        ["exit-time", "--n", "6", "--trials", "1500", "--m-max", "10"],
+        ["diverge", "--n", "6", "--m", "4", "--trials", "1500"],
+        ["mi", "--n", "1", "--m", "3", "--transcripts", "1500"],
+        ["identify", "--n", "2", "--trials", "1500"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_csv_workers_byte_identical(tmp_path, argv):
+    outs = []
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"w{workers}.csv"
+        code = main(argv + ["--seed", "9", "--workers", workers, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_BOUND_VIOLATION)
+        outs.append(_read(out))
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_train_json_resolves_alpha_and_summarises(tmp_path):
+    out = tmp_path / "t.json"
+    argv = ["train", "--n", "5", "--trials", "20", "--budget", "500", "--format", "json"]
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["config"]["alpha"] == training.default_alpha(5)
+    rows = report["rows"]
+    assert report["summary"] == {
+        "median_queries": float(np.median([r["queries_total"] for r in rows])),
+        "success_rate": sum(r["succeeded"] for r in rows) / len(rows),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["train", "--n", "5", "--trials", "0"],
+        ["exit-time", "--n", "5", "--trials", "0"],
+        ["mi", "--n", "2", "--transcripts", "0"],
+        ["mi", "--n", "2", "--m", "-1"],
+        ["identify", "--n", "20", "--trials", "1"],
+    ],
+    ids=" ".join,
+)
+def test_bad_sizes_exit_2(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
+
+
+def test_benchmark_reference_replay(tmp_path, monkeypatch):
+    """Every benchmark step at the pinned seed reproduces its recorded CSV."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import workloads
+
+    for steps in workloads.WORKLOADS.values():
+        for step in steps:
+            out = tmp_path / f"{step.label}.csv"
+            code = main(step.cli_argv(DEFAULT_SEED, 1, str(out)))
+            assert code in (EXIT_OK, EXIT_BOUND_VIOLATION), step.label
+            reference = (PERFBENCH / "reference" / f"{step.label}.csv").read_text()
+            assert checks.against_reference(step, out.read_text(), reference) == []
 
 
 def test_diverge_csv(tmp_path):

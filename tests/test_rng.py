@@ -39,3 +39,14 @@ def test_draw_index_increments():
     assert s.draw_index == 1
     s.pop_batch(10)
     assert s.draw_index == 11
+
+
+def test_pop_index_is_one_pop_mapped_to_an_index():
+    a = RandomStack(11, 4)
+    b = RandomStack(11, 4)
+    for n in range(1, 9):
+        size = 3**n
+        want = min(int((b.pop() + 1.0) / 2.0 * size), size - 1)
+        k = a.draw_index
+        assert a.pop_index(size) == want
+        assert a.draw_index == k + 1
