@@ -79,6 +79,8 @@ def _check(name: str, passed: bool, margin_sigmas=None) -> dict:
 # --- experiments: each returns (columns, rows, checks) -----------------------
 
 def _verify_circuit(args):
+    if args.trials < 1 or args.n_max < 1:
+        raise ValueError("trials and n_max must be >= 1")
     rows = []
     for n in range(1, args.n_max + 1):
         stack = RandomStack(args.seed, n)
@@ -188,6 +190,8 @@ def _identify(args):
 def run_experiment(args) -> int:
     """Run the subcommand's experiment, write its report, map checks to an exit code."""
     t0 = time.monotonic()
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out: directory {os.path.dirname(args.out)!r} does not exist")
     columns, rows, checks = args.func(args)
     config = vars(args).copy()
     config.pop("func", None)

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
-from .rng import RandomStack
+from .rng import RandomStack, stream_bases, uniform_block
 from .torus import GRID_BASE, GridShift, TorusPoint, far_count_array, hamming_d
 
 Strategy = Callable[[int, RandomStack, list], TorusPoint]
@@ -178,17 +178,56 @@ def play_game(
     return GameRecord(hidden, queries, None)
 
 
+def _hidden_trits(u: np.ndarray, n: int) -> np.ndarray:
+    """(len(u), n) trits of the hidden shifts that pop_index(3**n) maps the
+    uniforms u to, by its formula min(int((u + 1) / 2 * 3**n), 3**n - 1)."""
+    size = GRID_BASE**n
+    scaled = np.floor((u + 1.0) / 2.0 * float(size))
+    if size <= 2**53:  # every index, and its float, is exact in int64
+        idx = np.minimum(scaled.astype(np.int64), size - 1)
+    else:
+        idx = np.array([min(int(v), size - 1) for v in scaled], dtype=object)
+    trits = [(idx // GRID_BASE**j) % GRID_BASE for j in range(n)]
+    return np.stack(trits, axis=1).astype(np.int64)
+
+
 def win_round_counts(
     n: int, strategy_name: str, start: int, count: int, m_max: int, seed: int
 ) -> np.ndarray:
-    """Win-round histogram (length m_max) for trials [start, start+count)."""
+    """Win-round histogram (length m_max) for trials [start, start+count).
+
+    Alice answers "yes" until Bob wins, so no strategy's queries depend on
+    the answers and all live trials play round r together.  Trial t draws
+    what play_game on RandomStack(seed, t) draws: the hidden shift from
+    draw 0, then n-point queries from draw 1 on (every round for
+    "uniform", every n-th round for "adaptive", which otherwise moves
+    coordinate (r-1) % n of its last query by one grid step).
+    """
+    if strategy_name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy_name!r}")
     counts = np.zeros(m_max, dtype=np.int64)
-    for trial in range(start, start + count):
-        stack = RandomStack(seed, trial)
-        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
-        rec = play_game(n, hidden, make_strategy(strategy_name, n), m_max, stack)
-        if rec.win_round is not None:
-            counts[rec.win_round - 1] += 1
+    bases = stream_bases(seed, np.arange(start, start + count))
+    trits = _hidden_trits(uniform_block(bases, 0, 1)[:, 0], n)
+    drawn = 0
+    x = None
+    for r in range(1, m_max + 1):
+        if not len(bases):
+            break
+        if strategy_name == "grid":
+            x = GridShift.from_index(n, (r - 1) % GRID_BASE**n).to_point().array()
+        elif strategy_name == "uniform" or (r - 1) % n == 0:
+            x = (uniform_block(bases, 1 + drawn, n) + 1.0) / 2.0
+            drawn += n
+        else:
+            j = (r - 1) % n
+            v = x[:, j] + 1.0 / GRID_BASE
+            c = v - np.floor(v)  # wrap01, as TorusPoint applies it
+            x[:, j] = np.where(c >= 1.0, 0.0, c)
+        won = far_count_array(x, trits) <= n / 2
+        counts[r - 1] = np.count_nonzero(won)
+        bases, trits = bases[~won], trits[~won]
+        if x.ndim == 2:
+            x = x[~won]
     return counts
 
 
@@ -226,8 +265,8 @@ def estimate_win_cdf(
     """Empirical CDF of the win round, with the linear first-round bound."""
     if games < 1:
         raise ValueError("games must be >= 1")
-    if m_max < 1:
-        return []
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     chunks = [
         (n, strategy_name, s, c, m_max, seed) for s, c in chunk_ranges(games)
     ]

@@ -3,7 +3,8 @@
 Draw k is a pure function of (seed, stream, k), so trials can run on any
 number of workers, in any chunking, and still reproduce byte-for-byte.
 The generator is SplitMix64 over a counter: fast, vectorizable, and good
-enough statistically for Monte Carlo at desk scale.
+enough statistically for Monte Carlo at desk scale.  `uniform_block` draws
+the same values for many streams at once, one row per stream.
 """
 from __future__ import annotations
 
@@ -24,6 +25,49 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# uint64 array arithmetic wraps mod 2**64, which is exactly what SplitMix64
+# needs; scalar numpy ints would warn, so the kernel stays on arrays.
+_GOLDEN_U = np.uint64(_GOLDEN)
+_MIX1_U = np.uint64(_MIX1)
+_MIX2_U = np.uint64(_MIX2)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    z = (z ^ (z >> _S30)) * _MIX1_U
+    z = (z ^ (z >> _S27)) * _MIX2_U
+    return z ^ (z >> _S31)
+
+
+def _splitmix_uniforms(base, start: int, count: int) -> np.ndarray:
+    """Draws start..start+count-1 on [-1, +1) of the streams whose SplitMix64
+    bases are `base`: a uint64 scalar gives shape (count,), a uint64 column
+    of S bases gives shape (S, count)."""
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z = _mix64_array(base + idx * _GOLDEN_U)
+    u = (z >> _S11).astype(np.float64) * 2.0**-53
+    return 2.0 * u - 1.0
+
+
+def _as_uint64(values) -> np.ndarray:
+    """Integers modulo 2**64 as a uint64 array (the `& _MASK` of RandomStack)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64)  # wraps negatives mod 2**64
+    return np.array([int(v) & _MASK for v in values], dtype=np.uint64)
+
+
+def stream_bases(seed: int, streams) -> np.ndarray:
+    """SplitMix64 base of each stream: element i equals RandomStack(seed, streams[i])._base."""
+    seed_u = np.uint64(int(seed) & _MASK)
+    return _mix64_array(seed_u ^ _mix64_array(_as_uint64(streams) ^ _GOLDEN_U))
+
+
+def uniform_block(bases: np.ndarray, start: int, count: int) -> np.ndarray:
+    """(len(bases), count) block: row i holds draws start..start+count-1 of the
+    stream with base bases[i], the values `count` pops of that stream return."""
+    return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64)[:, None], start, count)
+
+
 class RandomStack:
     """Infinite stack of uniforms on [-1, +1); pop() takes the top.
 
@@ -40,15 +84,7 @@ class RandomStack:
         self._buf_start = 0
 
     def _uniforms(self, start: int, count: int) -> np.ndarray:
-        # uint64 array arithmetic wraps mod 2**64, which is exactly what
-        # SplitMix64 needs; scalar numpy ints would warn, so stay on arrays.
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        z = np.uint64(self._base) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return 2.0 * u - 1.0
+        return _splitmix_uniforms(np.uint64(self._base), start, count)
 
     def pop(self) -> float:
         """Pop one uniform from [-1, +1)."""

@@ -153,7 +153,8 @@ def hamming_d(a: GridShift, x: TorusPoint) -> int:
 
 
 def far_count_array(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
-    """Vectorized FAR count; `points` has shape (..., n), `trits` shape (n,)."""
+    """Vectorized FAR count; `points` has shape (..., n), `trits` shape (n,)
+    or one row of trits per point."""
     d = np.abs(points * GRID_BASE - np.asarray(trits))
     d = np.minimum(d, GRID_BASE - d)
     return np.sum(d >= GRID_BASE * NEAR_RADIUS, axis=-1)

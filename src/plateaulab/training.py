@@ -308,6 +308,8 @@ def exit_time_experiment(
     against the combined bound (p_exact + delta/2) * m."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
     chunks = [(algo, n, m_max, s, c, seed) for s, c in chunk_ranges(trials)]
     counts = sum(run_chunks(exit_time_chunk, chunks, workers))
     return cdf_rows(counts, trials, float(p_exact_fraction(n)) + delta_bound(n) / 2.0)

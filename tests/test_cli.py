@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plateaulab import training
+from plateaulab import game, training
 from plateaulab.cli import (
     DEFAULT_SEED,
     EXIT_BAD_CONFIG,
@@ -115,11 +115,34 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["mi", "--n", "2", "--transcripts", "0"],
         ["mi", "--n", "2", "--m", "-1"],
         ["identify", "--n", "20", "--trials", "1"],
+        ["game", "--n", "4", "--trials", "10", "--m-max", "-1"],
+        ["exit-time", "--n", "5", "--trials", "10", "--m-max", "-1"],
+        ["verify-circuit", "--trials", "0"],
+        ["verify-circuit", "--n-max", "0"],
     ],
     ids=" ".join,
 )
 def test_bad_sizes_exit_2(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("command", ["game", "exit-time"])
+def test_m_max_0_writes_header_only(tmp_path, command):
+    out = tmp_path / "x.csv"
+    argv = [command, "--n", "5", "--trials", "10", "--m-max", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.read_text() == "m,cdf,stderr,bound,exceeded\n"
+
+
+def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    def must_not_run(n):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(game, "bounds", must_not_run)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["bounds", "--n-max", "2", "--out", str(out)]) == EXIT_BAD_CONFIG
+    assert "does not exist" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_benchmark_reference_replay(tmp_path, monkeypatch):

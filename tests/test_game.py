@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plateaulab.circuits import ShiftedProductFunction
 from plateaulab.game import (
@@ -111,6 +112,45 @@ def test_estimate_win_cdf_empty_table():
     assert estimate_win_cdf(4, "uniform", 10, 0, seed=0) == []
 
 
+def test_estimate_win_cdf_refuses_negative_m_max():
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        estimate_win_cdf(4, "uniform", 10, -1, seed=0)
+
+
+def _per_trial_win_round_counts(n, strategy_name, start, count, m_max, seed):
+    """Reference: one RandomStack, hidden-shift draw and play_game per trial."""
+    counts = np.zeros(m_max, dtype=np.int64)
+    for trial in range(start, start + count):
+        stack = RandomStack(seed, trial)
+        hidden = GridShift.from_index(n, stack.pop_index(3**n))
+        rec = play_game(n, hidden, make_strategy(strategy_name, n), m_max, stack)
+        if rec.win_round is not None:
+            counts[rec.win_round - 1] += 1
+    return counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    strategy=st.sampled_from(["uniform", "grid", "adaptive"]),
+    seed=st.integers(-(2**65), 2**65),
+    start=st.integers(0, 10**6),
+    count=st.integers(0, 60),
+    m_max=st.integers(0, 60),
+)
+def test_win_round_counts_equals_per_trial_games(n, strategy, seed, start, count, m_max):
+    got = win_round_counts(n, strategy, start, count, m_max, seed)
+    want = _per_trial_win_round_counts(n, strategy, start, count, m_max, seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_win_round_counts_hidden_index_beyond_float_precision():
+    # 3**40 > 2**53: the hidden index no longer fits a float exactly
+    for strategy in ("uniform", "adaptive"):
+        got = win_round_counts(40, strategy, 5, 40, 20, seed=8)
+        assert np.array_equal(got, _per_trial_win_round_counts(40, strategy, 5, 40, 20, 8))
+
+
 def test_estimate_win_cdf_workers_invariance():
     a = estimate_win_cdf(4, "uniform", 2500, 10, seed=9, workers=1)
     b = estimate_win_cdf(4, "uniform", 2500, 10, seed=9, workers=3)
@@ -128,3 +168,5 @@ def test_strategy_dimension_check():
 def test_make_strategy_unknown():
     with pytest.raises(ValueError):
         make_strategy("nope", 3)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        win_round_counts(3, "nope", 0, 5, 5, seed=0)

@@ -1,6 +1,7 @@
 import numpy as np
+from hypothesis import given, settings, strategies as st
 
-from plateaulab.rng import RandomStack
+from plateaulab.rng import RandomStack, stream_bases, uniform_block
 
 
 def test_pop_matches_pop_batch():
@@ -50,3 +51,25 @@ def test_pop_index_is_one_pop_mapped_to_an_index():
         k = a.draw_index
         assert a.pop_index(size) == want
         assert a.draw_index == k + 1
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(-(2**65), 2**65),
+    streams=st.lists(st.integers(-(2**64), 2**65), max_size=8),
+    start=st.integers(0, 1100),
+    k=st.integers(0, 40),
+    as_array=st.booleans(),
+)
+def test_uniform_block_rows_equal_stacks(seed, streams, start, k, as_array):
+    if as_array:  # the int64 fast path of stream_bases
+        streams = [s % 2**64 - 2**63 for s in streams]
+    bases = stream_bases(seed, np.array(streams, dtype=np.int64) if as_array else streams)
+    assert [int(b) for b in bases] == [RandomStack(seed, s)._base for s in streams]
+    block = uniform_block(bases, start, k)
+    assert block.shape == (len(streams), k)
+    for row, s in zip(block, streams):
+        stack = RandomStack(seed, s)
+        for _ in range(start):
+            stack.pop()
+        assert np.array_equal(row, stack.pop_batch(k))

@@ -104,6 +104,11 @@ def test_exit_time_cdf_bounded(algo):
     assert cdfs == sorted(cdfs)  # a CDF is nondecreasing
 
 
+def test_exit_time_refuses_negative_m_max():
+    with pytest.raises(ValueError, match="m_max must be >= 0"):
+        exit_time_experiment("random", 5, -1, 10, seed=0)
+
+
 def test_trainer_sweep_rows_in_trial_order():
     rows = trainer_sweep("random", 4, 0.9, 200, 50, seed=2, workers=1)
     assert [r[0] for r in rows] == list(range(50))
