@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import GridShift, TorusPoint, wrap01
+from .torus import GridShift, TorusPoint, wrap01, wrap01_array
 
 PHI = math.asin(1.0 / math.sqrt(3.0))  # rotation-axis angle, in ]0, pi/4[
 
@@ -68,6 +68,15 @@ class ShiftedProductFunction:
 
     def argmax(self) -> TorusPoint:
         return self.shift.to_point()
+
+
+def shifted_product_rows(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
+    """f_a(x) for each row x of `points` and row a of `trits`, both (rows, n),
+    with ShiftedProductFunction.__call__'s float operations in its order."""
+    out = np.ones(len(points))
+    for j in range(points.shape[1]):
+        out *= h_eval_array(wrap01_array(points[:, j] - trits[:, j] / 3.0))
+    return out
 
 
 def f_eval(f: ShiftedProductFunction, x: TorusPoint) -> float:

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +105,8 @@ def _verify_circuit(args):
 
 
 def _bounds(args):
+    if args.n_max < 1:
+        raise ValueError("n_max must be >= 1")
     bs = [game.bounds(n) for n in range(1, args.n_max + 1)]
     rows = [
         {"n": b.n, "delta": b.delta, "p_exact": b.p_exact, "p_hoeffding": b.p_hoeffding}
@@ -122,7 +124,8 @@ def _bounds(args):
 
 def _cdf_table(cdf: list[game.CdfRow], check_name: str):
     checks = [_check(check_name, not any(r.exceeded for r in cdf))]
-    return ["m", "cdf", "stderr", "bound", "exceeded"], [asdict(r) for r in cdf], checks
+    rows = [vars(r).copy() for r in cdf]  # shallow: dataclasses.asdict deep-copies
+    return ["m", "cdf", "stderr", "bound", "exceeded"], rows, checks
 
 
 def _game(args):
@@ -192,6 +195,8 @@ def run_experiment(args) -> int:
     t0 = time.monotonic()
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"--out: directory {os.path.dirname(args.out)!r} does not exist")
+    if args.out and os.path.isdir(args.out):
+        raise ValueError(f"--out: {args.out!r} is a directory")
     columns, rows, checks = args.func(args)
     config = vars(args).copy()
     config.pop("func", None)
@@ -209,17 +214,25 @@ def run_experiment(args) -> int:
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=_default_seed(), help="master seed")
+    p.add_argument(
+        "--seed", type=int, default=None,
+        help=f"master seed (default ${SEED_ENV_VAR}, then {DEFAULT_SEED})",
+    )
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="plateaulab",
         description="Verification experiments for plateau-landscape query bounds.",
@@ -292,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.seed is None:  # read at every call, not when the parser is built
+            args.seed = _default_seed()
         return run_experiment(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

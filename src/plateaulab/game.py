@@ -17,8 +17,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
-from .rng import RandomStack, stream_bases, uniform_block
-from .torus import GRID_BASE, GridShift, TorusPoint, far_count_array, hamming_d
+from .rng import RandomStack, index_block, stream_bases, uniform_block
+from .torus import (
+    GRID_BASE,
+    GridShift,
+    TorusPoint,
+    far_count_array,
+    hamming_d,
+    index_trits,
+    wrap01_array,
+)
 
 Strategy = Callable[[int, RandomStack, list], TorusPoint]
 """A strategy maps (round index, stack, past answers) to the next query point."""
@@ -178,19 +186,6 @@ def play_game(
     return GameRecord(hidden, queries, None)
 
 
-def _hidden_trits(u: np.ndarray, n: int) -> np.ndarray:
-    """(len(u), n) trits of the hidden shifts that pop_index(3**n) maps the
-    uniforms u to, by its formula min(int((u + 1) / 2 * 3**n), 3**n - 1)."""
-    size = GRID_BASE**n
-    scaled = np.floor((u + 1.0) / 2.0 * float(size))
-    if size <= 2**53:  # every index, and its float, is exact in int64
-        idx = np.minimum(scaled.astype(np.int64), size - 1)
-    else:
-        idx = np.array([min(int(v), size - 1) for v in scaled], dtype=object)
-    trits = [(idx // GRID_BASE**j) % GRID_BASE for j in range(n)]
-    return np.stack(trits, axis=1).astype(np.int64)
-
-
 def win_round_counts(
     n: int, strategy_name: str, start: int, count: int, m_max: int, seed: int
 ) -> np.ndarray:
@@ -207,7 +202,7 @@ def win_round_counts(
         raise ValueError(f"unknown strategy {strategy_name!r}")
     counts = np.zeros(m_max, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
-    trits = _hidden_trits(uniform_block(bases, 0, 1)[:, 0], n)
+    trits = index_trits(index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n), n)
     drawn = 0
     x = None
     for r in range(1, m_max + 1):
@@ -220,9 +215,7 @@ def win_round_counts(
             drawn += n
         else:
             j = (r - 1) % n
-            v = x[:, j] + 1.0 / GRID_BASE
-            c = v - np.floor(v)  # wrap01, as TorusPoint applies it
-            x[:, j] = np.where(c >= 1.0, 0.0, c)
+            x[:, j] = wrap01_array(x[:, j] + 1.0 / GRID_BASE)  # as TorusPoint wraps
         won = far_count_array(x, trits) <= n / 2
         counts[r - 1] = np.count_nonzero(won)
         bases, trits = bases[~won], trits[~won]

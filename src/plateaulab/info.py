@@ -9,45 +9,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
-from .circuits import ShiftedProductFunction, h_eval_array
-from .game import Strategy, uniform_strategy
+from .circuits import h_eval_array, shifted_product_rows
+from .game import Strategy
 from .oracles import RandomStack, eval_query
-from .torus import GRID_BASE, GridShift, TorusPoint
+from .rng import index_block, stream_bases, uniform_block
+from .torus import GRID_BASE, GridShift, TorusPoint, index_trits
 
 LOG2_3 = math.log2(3)
 
 MI_N_CAP = 8  # 3**n posteriors must fit comfortably
-IDENTIFY_N_CAP = 13  # 3**n x n trit table + gathers, ~16 n 3**n bytes: 0.33 GB at 13
+IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~32 3**n bytes: 51 MB at 13
+_BLOCK_BYTES = 2**17  # float64 rows x 3**n per sub-block; bounds peak memory
 
 
 class InconsistentOracleError(RuntimeError):
     """The oracle value matches no member of the family."""
 
 
-@lru_cache(maxsize=16)
-def _trit_table(n: int) -> np.ndarray:
-    """(3**n, n) array of trits, little-endian trit-lexicographic order."""
-    idx = np.arange(GRID_BASE**n)
-    return np.stack(
-        [(idx // GRID_BASE**j) % GRID_BASE for j in range(n)], axis=1
-    )
+def _block_rows(n: int) -> int:
+    """Rows per sub-block, so that rows x 3**n float64 stays near _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (8 * GRID_BASE**n))
+
+
+def candidate_block(points: np.ndarray) -> np.ndarray:
+    """(rows, 3**n) values f_a(x) of every shift a at each row x of the
+    (rows, n) `points`, in posterior index order.
+
+    A tensor product over the coordinates: coordinate j becomes the most
+    significant trit, and each value is multiplied in coordinate order,
+    ((h_0 h_1) h_2) ..., as prod_j h(x_j - a_j) would be.
+    """
+    rows, n = points.shape
+    # h(x_j - t/3) for each row, coordinate j and trit t
+    htab = h_eval_array(points[:, :, None] - np.arange(GRID_BASE) / GRID_BASE)
+    vals = htab[:, 0, :]
+    for j in range(1, n):
+        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(rows, -1)
+    return vals
 
 
 def candidate_values(n: int, x: TorusPoint) -> np.ndarray:
     """f_a(x) for every shift a, in posterior index order."""
     if len(x) != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {len(x)}")
-    coords = np.asarray(x.coords)
-    # h(x_j - t/3) for each coordinate j and trit t
-    htab = h_eval_array(coords[:, None] - np.arange(GRID_BASE)[None, :] / GRID_BASE)
-    trits = _trit_table(n)
-    return np.prod(htab[np.arange(n)[None, :], trits], axis=1)
+    return candidate_block(x.array()[None, :])[0]
 
 
 @dataclass
@@ -74,12 +84,22 @@ class Posterior:
         return float(-np.sum(p * np.log2(p)))
 
 
+def _bayes_step(weights: np.ndarray, outcome, vals: np.ndarray) -> np.ndarray:
+    """Unnormalised Bayes step with likelihood (1 + outcome * f_a(x)) / 2;
+    rows of weights, outcomes and values broadcast.  The float operations
+    are those of weights * (1.0 + outcome * vals) / 2.0, in one new array."""
+    out = outcome * vals
+    out += 1.0
+    out *= weights
+    out /= 2.0
+    return out
+
+
 def posterior_update(prior: Posterior, x: TorusPoint, outcome: int) -> Posterior:
     """Bayes step with likelihood (1 + outcome * f_a(x)) / 2."""
     if outcome not in (-1, 1):
         raise ValueError("outcome must be +1 or -1")
-    vals = candidate_values(prior.n, x)
-    weights = prior.probs * (1.0 + outcome * vals) / 2.0
+    weights = _bayes_step(prior.probs, outcome, candidate_values(prior.n, x))
     total = weights.sum()
     if total <= 0.0:
         raise InconsistentOracleError("transcript has zero likelihood under every shift")
@@ -111,7 +131,7 @@ def omnipotent_identify(
     match returns the shift and its maximizer; several return the
     ambiguity set; none raises InconsistentOracleError.
     """
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
     u = point_source.pop_batch(n)
     x = TorusPoint((u + 1.0) / 2.0)
@@ -136,41 +156,105 @@ def fixed_point_strategy(point: TorusPoint) -> Strategy:
     return strat
 
 
-def _make_mi_strategy(spec, n: int) -> Strategy:
-    if callable(spec):
-        return spec
+def _fixed_query_point(spec, n: int) -> Optional[TorusPoint]:
+    """The query point of a ("fixed", point) spec; None for "uniform"."""
     if spec == "uniform":
-        return uniform_strategy(n)
+        return None
     if isinstance(spec, tuple) and spec[0] == "fixed":
         point = TorusPoint(spec[1])
         if len(point) != n:
             raise ValueError("fixed point has wrong dimension")
-        return fixed_point_strategy(point)
+        return point
     raise ValueError(f"unknown strategy spec {spec!r}")
 
 
-def mi_transcript_chunk(
-    n: int, strategy_spec, m: int, start: int, count: int, seed: int
-) -> tuple[float, float, int]:
-    """(sum of conditional entropies, sum of squares, count) over a chunk."""
-    sum_h = 0.0
-    sum_h2 = 0.0
-    for trial in range(start, start + count):
+def _transcript_entropies_scalar(
+    n: int, strat: Strategy, m: int, start: int, count: int, seed: int
+) -> np.ndarray:
+    """H(C | transcript) of each trial, one RandomStack and strategy call per
+    trial and query: the path of callable strategies, and the reference the
+    batched path is tested against."""
+    out = np.empty(count)
+    for i, trial in enumerate(range(start, start + count)):
         stack = RandomStack(seed, trial)
-        strat = _make_mi_strategy(strategy_spec, n)
         hidden = stack.pop_index(GRID_BASE**n)
         weights = np.full(GRID_BASE**n, 1.0 / GRID_BASE**n)
         outcomes: list[int] = []
         for q in range(1, m + 1):
             x = strat(q, stack, outcomes)
             vals = candidate_values(n, x)
-            r = stack.pop()
-            y = 1 if r < vals[hidden] else -1
-            weights = weights * (1.0 + y * vals) / 2.0
+            y = 1 if stack.pop() < vals[hidden] else -1
+            weights = _bayes_step(weights, y, vals)
             outcomes.append(y)
-        total = weights.sum()
-        p = weights[weights > 0] / total
-        h = float(-np.sum(p * np.log2(p)))
+        p = weights[weights > 0] / weights.sum()
+        out[i] = -np.sum(p * np.log2(p))
+    return out
+
+
+def _row_entropies(weights: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row of unnormalised weights.
+
+    Rows are grouped by their number of positive entries, so that each
+    row's sum runs over the same compacted terms, in the same order, as
+    the entropy of that row alone.
+    """
+    p = weights / weights.sum(axis=1, keepdims=True)
+    positive = weights > 0
+    sizes = np.count_nonzero(positive, axis=1)
+    out = np.empty(len(weights))
+    for size in set(sizes.tolist()):
+        rows = sizes == size
+        q = p[rows][positive[rows]].reshape(-1, size)
+        out[rows] = -np.sum(q * np.log2(q), axis=1)
+    return out
+
+
+def _transcript_entropies(
+    n: int, point: Optional[TorusPoint], m: int, start: int, count: int, seed: int
+) -> np.ndarray:
+    """H(C | transcript) of each trial, with one Bayes step per query for all
+    trials of a sub-block.
+
+    No query point depends on the answers, so trial t's draws are fixed by
+    the scalar path on RandomStack(seed, t): draw 0 is the hidden shift.
+    Uniform queries (`point` None) read n point draws and then the outcome,
+    query q from draw 1 + (q-1)(n+1); a fixed `point` reads only the
+    outcome, query q at draw q.
+    """
+    size = GRID_BASE**n
+    bases = stream_bases(seed, np.arange(start, start + count))
+    vals = None if point is None else candidate_values(n, point)
+    out = np.empty(count)
+    step = _block_rows(n)
+    for lo in range(0, count, step):
+        block = bases[lo : lo + step]
+        rows = np.arange(len(block))
+        hidden = index_block(uniform_block(block, 0, 1)[:, 0], size)
+        weights = np.full((len(block), size), 1.0 / size)
+        for q in range(1, m + 1):
+            if point is None:
+                u = uniform_block(block, 1 + (q - 1) * (n + 1), n + 1)
+                vals = candidate_block((u[:, :n] + 1.0) / 2.0)
+                y = np.where(u[:, n] < vals[rows, hidden], 1.0, -1.0)
+            else:
+                y = np.where(uniform_block(block, q, 1)[:, 0] < vals[hidden], 1.0, -1.0)
+            weights = _bayes_step(weights, y[:, None], vals)
+        out[lo : lo + step] = _row_entropies(weights)
+    return out
+
+
+def mi_transcript_chunk(
+    n: int, strategy_spec, m: int, start: int, count: int, seed: int
+) -> tuple[float, float, int]:
+    """(sum of conditional entropies, sum of squares, count) over a chunk."""
+    if callable(strategy_spec):
+        hs = _transcript_entropies_scalar(n, strategy_spec, m, start, count, seed)
+    else:
+        point = _fixed_query_point(strategy_spec, n)
+        hs = _transcript_entropies(n, point, m, start, count, seed)
+    sum_h = 0.0
+    sum_h2 = 0.0
+    for h in hs.tolist():  # in trial order
         sum_h += h
         sum_h2 += h * h
     return sum_h, sum_h2, count
@@ -190,6 +274,8 @@ def transcript_mi(
     each sampled transcript is computed exactly, so the estimator of
     E[H(C|T)] is unbiased.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > MI_N_CAP:
         raise ValueError(f"n={n} exceeds posterior cap {MI_N_CAP}")
     if transcripts < 1:
@@ -218,19 +304,31 @@ def transcript_mi(
 def identify_chunk(
     n: int, tol: float, start: int, count: int, seed: int
 ) -> tuple[int, int, int]:
-    """(unique, unique_and_correct, ambiguous) counts over a chunk of trials."""
+    """(unique, unique_and_correct, ambiguous) counts over a chunk of trials.
+
+    Trial t reads what omnipotent_identify reads on RandomStack(seed, t):
+    the hidden shift from draw 0 and the query point from draws 1..n.  The
+    oracle value repeats ShiftedProductFunction.__call__'s float operations,
+    so ties at tol fall as they do per trial.
+    """
+    if not tol > 0:  # NaN too
+        raise ValueError("tol must be positive")
     unique = correct = ambiguous = 0
-    for trial in range(start, start + count):
-        stack = RandomStack(seed, trial)
-        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
-        oracle = ShiftedProductFunction(n, hidden)
-        res = omnipotent_identify(n, oracle, stack, tol)
-        if res.unique:
-            unique += 1
-            if res.shift == hidden:
-                correct += 1
-        else:
-            ambiguous += 1
+    bases = stream_bases(seed, np.arange(start, start + count))
+    step = _block_rows(n)
+    for lo in range(0, count, step):
+        u = uniform_block(bases[lo : lo + step], 0, 1 + n)
+        hidden = index_block(u[:, 0], GRID_BASE**n)
+        x = (u[:, 1:] + 1.0) / 2.0
+        value = shifted_product_rows(x, index_trits(hidden, n))
+        matches = np.abs(candidate_block(x) - value[:, None]) <= tol
+        found = np.count_nonzero(matches, axis=1)
+        if not found.all():
+            raise InconsistentOracleError("oracle value matches no family member")
+        one = found == 1
+        unique += int(np.count_nonzero(one))
+        correct += int(np.count_nonzero(one & matches[np.arange(len(x)), hidden]))
+        ambiguous += int(np.count_nonzero(~one))
     return unique, correct, ambiguous
 
 
@@ -239,10 +337,12 @@ def identification_rates(
 ) -> tuple[float, float, int]:
     """(unique rate, unique-and-correct rate, ambiguous count) over trials
     with a uniformly hidden shift."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > IDENTIFY_N_CAP:
         raise ValueError(
-            f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: candidate tables need"
-            f" about {16 * n * GRID_BASE**n / 1e9:.3g} GB"
+            f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: a candidate row needs"
+            f" about {32 * GRID_BASE**n / 1e9:.3g} GB"
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -68,6 +68,15 @@ def uniform_block(bases: np.ndarray, start: int, count: int) -> np.ndarray:
     return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64)[:, None], start, count)
 
 
+def index_block(u: np.ndarray, size: int) -> np.ndarray:
+    """pop_index on an array of draws: min(int((u + 1) / 2 * size), size - 1)
+    for each u, in int64 while every index is exact, else as Python ints."""
+    scaled = np.floor((u + 1.0) / 2.0 * float(size))
+    if size <= 2**53:  # every index, and its float, is exact in int64
+        return np.minimum(scaled.astype(np.int64), size - 1)
+    return np.array([min(int(v), size - 1) for v in scaled], dtype=object)
+
+
 class RandomStack:
     """Infinite stack of uniforms on [-1, +1); pop() takes the top.
 

@@ -17,6 +17,12 @@ def wrap01(v: float) -> float:
     return 0.0 if c >= 1.0 else c
 
 
+def wrap01_array(v: np.ndarray) -> np.ndarray:
+    """wrap01 elementwise, with its float operations."""
+    c = v - np.floor(v)
+    return np.where(c >= 1.0, 0.0, c)
+
+
 class TorusPoint:
     """A point of (R/Z)^n; coordinates stored in [0, 1)."""
 
@@ -97,6 +103,12 @@ class GridShift:
     def all_shifts(cls, n: int) -> Iterator["GridShift"]:
         for i in range(GRID_BASE**n):
             yield cls.from_index(n, i)
+
+
+def index_trits(idx: np.ndarray, n: int) -> np.ndarray:
+    """(len(idx), n) int64 trits of grid indices: GridShift.from_index on arrays."""
+    trits = [(idx // GRID_BASE**j) % GRID_BASE for j in range(n)]
+    return np.stack(trits, axis=1).astype(np.int64)
 
 
 def bohr_dist(u: float, v: float) -> float:

@@ -119,6 +119,10 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["exit-time", "--n", "5", "--trials", "10", "--m-max", "-1"],
         ["verify-circuit", "--trials", "0"],
         ["verify-circuit", "--n-max", "0"],
+        ["bounds", "--n-max", "0"],
+        ["mi", "--n", "0", "--m", "0"],
+        ["identify", "--n", "0"],
+        ["identify", "--n", "2", "--tol", "nan"],
     ],
     ids=" ".join,
 )
@@ -143,6 +147,15 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     assert main(["bounds", "--n-max", "2", "--out", str(out)]) == EXIT_BAD_CONFIG
     assert "does not exist" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2_before_running(tmp_path, monkeypatch, capsys):
+    def must_not_run(n):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(game, "bounds", must_not_run)
+    assert main(["bounds", "--n-max", "2", "--out", str(tmp_path)]) == EXIT_BAD_CONFIG
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_benchmark_reference_replay(tmp_path, monkeypatch):
@@ -204,3 +217,25 @@ def test_seed_env_default(tmp_path, monkeypatch):
         ]
     )
     assert _read(out1) == _read(out2)
+
+
+def test_seed_env_read_at_each_call(tmp_path, monkeypatch):
+    argv = ["mi", "--n", "2", "--m", "3", "--transcripts", "200", "--format", "json"]
+    outs = {}
+    for seed in ("777", "778"):
+        monkeypatch.setenv("PLATEAULAB_SEED", seed)
+        outs[seed] = tmp_path / f"env{seed}.json"
+        assert main(argv + ["--out", str(outs[seed])]) == EXIT_OK
+    monkeypatch.delenv("PLATEAULAB_SEED")
+    explicit = tmp_path / "explicit.json"
+    assert main(argv + ["--seed", "778", "--out", str(explicit)]) == EXIT_OK
+    second = json.loads(outs["778"].read_text())
+    assert second["config"]["seed"] == 778
+    assert second["rows"] == json.loads(explicit.read_text())["rows"]
+    assert second["rows"] != json.loads(outs["777"].read_text())["rows"]
+
+
+def test_bad_seed_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("PLATEAULAB_SEED", "abc")
+    assert main(["bounds", "--n-max", "2"]) == EXIT_BAD_CONFIG
+    assert "PLATEAULAB_SEED" in capsys.readouterr().err

@@ -1,20 +1,33 @@
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plateaulab.circuits import ShiftedProductFunction, h_eval
+from plateaulab import info
+from plateaulab.circuits import (
+    ShiftedProductFunction,
+    h_eval,
+    h_eval_array,
+    shifted_product_rows,
+)
 from plateaulab.info import (
     LOG2_3,
     InconsistentOracleError,
     Posterior,
+    candidate_block,
     candidate_values,
     identification_rates,
+    identify_chunk,
     mi_exact_enumeration,
+    mi_transcript_chunk,
     omnipotent_identify,
     posterior_update,
     transcript_mi,
 )
+from plateaulab.game import uniform_strategy
 from plateaulab.oracles import RandomStack
 from plateaulab.torus import GridShift, TorusPoint
 
@@ -160,3 +173,146 @@ def test_mi_workers_invariance():
     a = transcript_mi(2, "uniform", 4, 2500, seed=6, workers=1)
     b = transcript_mi(2, "uniform", 4, 2500, seed=6, workers=2)
     assert a == b
+
+
+# --- batched paths against their per-trial references ------------------------
+
+# coordinates in [0, 1), with the grid points and the ties between them
+_coord = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 1 / 3, 2 / 3, 1 / 6, 0.5, 5 / 6]),
+)
+_seed = st.integers(-(2**65), 2**65)
+
+
+def _points(n, rows):
+    return st.lists(
+        st.lists(_coord, min_size=n, max_size=n), min_size=rows, max_size=rows
+    ).map(lambda p: np.array(p, dtype=np.float64).reshape(rows, n))
+
+
+def _gathered_candidate_values(points):
+    """Reference: one np.prod over a gathered 3**n x n table of h values per point."""
+    n = points.shape[1]
+    idx = np.arange(3**n)
+    trits = np.stack([(idx // 3**j) % 3 for j in range(n)], axis=1)
+    out = []
+    for x in points:
+        htab = h_eval_array(x[:, None] - np.arange(3)[None, :] / 3)
+        out.append(np.prod(htab[np.arange(n)[None, :], trits], axis=1))
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), rows=st.integers(1, 4))
+def test_candidate_block_equals_product_gather(data, n, rows):
+    points = data.draw(_points(n, rows))
+    got = candidate_block(points)
+    assert got.shape == (rows, 3**n)
+    assert np.array_equal(got, _gathered_candidate_values(points))
+    assert np.array_equal(candidate_values(n, TorusPoint(points[0])), got[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), rows=st.integers(1, 5))
+def test_shifted_product_rows_equal_scalar_calls(data, n, rows):
+    points = data.draw(_points(n, rows))
+    trits = np.array(
+        data.draw(st.lists(st.integers(0, 2), min_size=n * rows, max_size=n * rows))
+    ).reshape(rows, n)
+    want = [
+        ShiftedProductFunction(n, GridShift(tuple(int(t) for t in a)))(TorusPoint(x))
+        for x, a in zip(points, trits)
+    ]
+    assert np.array_equal(shifted_product_rows(points, trits), want)
+
+
+def test_h_eval_array_matches_scalar_bits():
+    # identify's ties at tol hang on np.cos giving math.cos's bits
+    t = (RandomStack(5).pop_batch(200_000) + 1.0) / 2.0
+    t = np.concatenate([t, t - 1 / 3, t - 2 / 3, np.arange(0, 13) / 12])
+    assert np.array_equal(h_eval_array(t), [h_eval(v) for v in t.tolist()])
+
+
+def _per_trial_identify_counts(n, tol, start, count, seed):
+    """Reference: one RandomStack, hidden-shift draw and omnipotent_identify per trial."""
+    unique = correct = ambiguous = 0
+    for trial in range(start, start + count):
+        stack = RandomStack(seed, trial)
+        hidden = GridShift.from_index(n, stack.pop_index(3**n))
+        res = omnipotent_identify(n, ShiftedProductFunction(n, hidden), stack, tol)
+        if res.unique:
+            unique += 1
+            correct += res.shift == hidden
+        else:
+            ambiguous += 1
+    return unique, correct, ambiguous
+
+
+def _or_inconsistent(fn, *args):
+    try:
+        return fn(*args)
+    except InconsistentOracleError:
+        return "inconsistent"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    tol=st.one_of(
+        st.sampled_from([1e-15, 1e-12, 1e-9, 1e-6, 1e-3, 0.05, 0.3]),
+        st.floats(1e-12, 1.0),
+    ),
+    seed=_seed,
+    start=st.integers(0, 10**6),
+    count=st.integers(0, 80),
+)
+def test_identify_chunk_equals_per_trial_identification(n, tol, seed, start, count):
+    got = _or_inconsistent(identify_chunk, n, tol, start, count, seed)
+    assert got == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    m=st.integers(0, 10),
+    fixed=st.booleans(),
+    seed=_seed,
+    start=st.integers(0, 10**6),
+    count=st.integers(0, 30),
+)
+def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, fixed, seed, start, count):
+    spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if fixed else "uniform"
+    point = info._fixed_query_point(spec, n)
+    strat = uniform_strategy(n) if point is None else info.fixed_point_strategy(point)
+    got = info._transcript_entropies(n, point, m, start, count, seed)
+    want = info._transcript_entropies_scalar(n, strat, m, start, count, seed)
+    # the same float operations in the same order: equal to the bit
+    assert got.shape == (count,) and np.array_equal(got, want)
+    h = want.tolist()
+    sums = (reduce(add, h, 0.0), reduce(add, [v * v for v in h], 0.0), count)
+    assert mi_transcript_chunk(n, spec, m, start, count, seed) == sums
+
+
+def test_mi_chunk_rejects_bad_specs():
+    with pytest.raises(ValueError, match="wrong dimension"):
+        mi_transcript_chunk(2, ("fixed", (0.1,)), 3, 0, 5, 0)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        mi_transcript_chunk(2, "grid", 3, 0, 5, 0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 6), (4, 4)])
+def test_mi_matches_mean_exact_enumeration_over_uniform_queries(n, m):
+    # uniform queries do not depend on C, so averaging the exact MI of
+    # uniformly drawn query sequences estimates the same MI with the
+    # outcome noise summed out (Rao-Blackwell)
+    stack = RandomStack(17)
+    exact = [
+        mi_exact_enumeration(n, [TorusPoint((stack.pop_batch(n) + 1.0) / 2.0) for _ in range(m)])
+        for _ in range(400)
+    ]
+    rb, rb_se = np.mean(exact), np.std(exact, ddof=1) / math.sqrt(len(exact))
+    mc, mc_se = transcript_mi(n, "uniform", m, 20_000, seed=18)
+    assert abs(mc - rb) <= 4 * math.hypot(rb_se, mc_se)
+
