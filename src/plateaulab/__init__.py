@@ -3,7 +3,6 @@ PQC expectation-value functions."""
 
 from .circuits import (
     ShiftedProductFunction,
-    f_eval,
     h_eval,
     single_qubit_sim,
     tensor_sim,
@@ -14,7 +13,6 @@ from .game import (
     PlateauRegion,
     bounds,
     estimate_win_cdf,
-    in_plateau,
     play_game,
 )
 from .info import (
@@ -63,10 +61,8 @@ __all__ = [
     "estimate_win_cdf",
     "eval_query",
     "exit_time_experiment",
-    "f_eval",
     "h_eval",
     "hamming_d",
-    "in_plateau",
     "mi_exact_enumeration",
     "omnipotent_identify",
     "play_game",

@@ -59,8 +59,7 @@ class ShiftedProductFunction:
 
     def eval_array(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at many points; `points` has shape (..., n)."""
-        a = np.asarray(self.shift.to_point().coords)
-        return np.prod(h_eval_array(np.mod(points - a, 1.0)), axis=-1)
+        return shifted_product_rows(points, self.shift.trits)
 
     @property
     def max_value(self) -> float:
@@ -70,17 +69,17 @@ class ShiftedProductFunction:
         return self.shift.to_point()
 
 
-def shifted_product_rows(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
-    """f_a(x) for each row x of `points` and row a of `trits`, both (rows, n),
-    with ShiftedProductFunction.__call__'s float operations in its order."""
-    out = np.ones(len(points))
-    for j in range(points.shape[1]):
-        out *= h_eval_array(wrap01_array(points[:, j] - trits[:, j] / 3.0))
+def shifted_product_rows(points: np.ndarray, trits: np.ndarray | tuple[int, ...]) -> np.ndarray:
+    """f_a(x) for each point x of `points`, shape (..., n); `trits` has shape
+    (n,) (one shift a) or holds one row a per point.  The float operations
+    are ShiftedProductFunction.__call__'s, in its order, so for points in
+    [0, 1) every value equals f_a(TorusPoint(x)) to the bit."""
+    points = np.asarray(points, dtype=np.float64)
+    shift = np.asarray(trits) / 3.0
+    out = np.ones(points.shape[:-1])
+    for j in range(points.shape[-1]):
+        out *= h_eval_array(wrap01_array(points[..., j] - shift[..., j]))
     return out
-
-
-def f_eval(f: ShiftedProductFunction, x: TorusPoint) -> float:
-    return f(x)
 
 
 def single_qubit_unitary(t: float) -> np.ndarray:

@@ -101,11 +101,6 @@ def bounds(n: int) -> BoundsRow:
     )
 
 
-def in_plateau(region: PlateauRegion, x: TorusPoint) -> bool:
-    """True iff the FAR count from the region center strictly exceeds n/2."""
-    return region.contains(x)
-
-
 # --- strategies -------------------------------------------------------------
 
 def uniform_strategy(n: int) -> Strategy:
@@ -256,6 +251,8 @@ def estimate_win_cdf(
     workers: int = 1,
 ) -> list[CdfRow]:
     """Empirical CDF of the win round, with the linear first-round bound."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if games < 1:
         raise ValueError("games must be >= 1")
     if m_max < 0:

@@ -14,17 +14,18 @@ from typing import Optional
 import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
-from .circuits import h_eval_array, shifted_product_rows
+from .circuits import h_eval_array
 from .game import Strategy
 from .oracles import RandomStack, eval_query
 from .rng import index_block, stream_bases, uniform_block
-from .torus import GRID_BASE, GridShift, TorusPoint, index_trits
+from .torus import GRID_BASE, GridShift, TorusPoint, wrap01_array
 
 LOG2_3 = math.log2(3)
 
 MI_N_CAP = 8  # 3**n posteriors must fit comfortably
 IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~32 3**n bytes: 51 MB at 13
 _BLOCK_BYTES = 2**17  # float64 rows x 3**n per sub-block; bounds peak memory
+_TRIT_SHIFTS = np.arange(GRID_BASE) / GRID_BASE  # t/3 for each trit t
 
 
 class InconsistentOracleError(RuntimeError):
@@ -42,11 +43,13 @@ def candidate_block(points: np.ndarray) -> np.ndarray:
 
     A tensor product over the coordinates: coordinate j becomes the most
     significant trit, and each value is multiplied in coordinate order,
-    ((h_0 h_1) h_2) ..., as prod_j h(x_j - a_j) would be.
+    ((h_0 h_1) h_2) ..., from h(wrap01(x_j - a_j)): the float operations of
+    ShiftedProductFunction.__call__, so for points in [0, 1) each value
+    equals f_a(TorusPoint(x)) to the bit.
     """
     rows, n = points.shape
-    # h(x_j - t/3) for each row, coordinate j and trit t
-    htab = h_eval_array(points[:, :, None] - np.arange(GRID_BASE) / GRID_BASE)
+    # h(wrap01(x_j - t/3)) for each row, coordinate j and trit t
+    htab = h_eval_array(wrap01_array(points[:, :, None] - _TRIT_SHIFTS))
     vals = htab[:, 0, :]
     for j in range(1, n):
         vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(rows, -1)
@@ -161,6 +164,8 @@ def _fixed_query_point(spec, n: int) -> Optional[TorusPoint]:
     if spec == "uniform":
         return None
     if isinstance(spec, tuple) and spec[0] == "fixed":
+        if not all(math.isfinite(c) for c in spec[1]):
+            raise ValueError(f"fixed point coordinates must be finite, got {spec[1]!r}")
         point = TorusPoint(spec[1])
         if len(point) != n:
             raise ValueError("fixed point has wrong dimension")
@@ -308,8 +313,9 @@ def identify_chunk(
 
     Trial t reads what omnipotent_identify reads on RandomStack(seed, t):
     the hidden shift from draw 0 and the query point from draws 1..n.  The
-    oracle value repeats ShiftedProductFunction.__call__'s float operations,
-    so ties at tol fall as they do per trial.
+    oracle value is the hidden shift's entry of the candidate table, which
+    equals ShiftedProductFunction.__call__ to the bit, so ties at tol fall
+    as they do per trial.
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
@@ -319,15 +325,15 @@ def identify_chunk(
     for lo in range(0, count, step):
         u = uniform_block(bases[lo : lo + step], 0, 1 + n)
         hidden = index_block(u[:, 0], GRID_BASE**n)
-        x = (u[:, 1:] + 1.0) / 2.0
-        value = shifted_product_rows(x, index_trits(hidden, n))
-        matches = np.abs(candidate_block(x) - value[:, None]) <= tol
+        vals = candidate_block((u[:, 1:] + 1.0) / 2.0)
+        rows = np.arange(len(vals))
+        matches = np.abs(vals - vals[rows, hidden][:, None]) <= tol
         found = np.count_nonzero(matches, axis=1)
         if not found.all():
             raise InconsistentOracleError("oracle value matches no family member")
         one = found == 1
         unique += int(np.count_nonzero(one))
-        correct += int(np.count_nonzero(one & matches[np.arange(len(x)), hidden]))
+        correct += int(np.count_nonzero(one & matches[rows, hidden]))
         ambiguous += int(np.count_nonzero(~one))
     return unique, correct, ambiguous
 
@@ -368,16 +374,17 @@ def mi_exact_enumeration(n: int, points: list[TorusPoint]) -> float:
     vals = [candidate_values(n, x) for x in points]
     prior = 1.0 / size
     mi = 0.0
-    for mask in range(2**m):
-        lik = np.ones(size)
+    step = _block_rows(n)
+    for lo in range(0, 2**m, step):
+        # outcome sequences as masks: bit i set means query i answered +1
+        masks = np.arange(lo, min(lo + step, 2**m))
+        lik = np.ones((len(masks), size))
         for i in range(m):
-            y = 1 if (mask >> i) & 1 else -1
-            lik *= (1.0 + y * vals[i]) / 2.0
-        p_seq = prior * lik.sum()
-        if p_seq <= 0.0:
-            continue
-        post = lik / lik.sum()
-        post = post[post > 0]
-        h_cond = float(-np.sum(post * np.log2(post)))
-        mi += p_seq * (n * LOG2_3 - h_cond)
+            y = np.where((masks >> i) & 1, 1.0, -1.0)
+            lik = _bayes_step(lik, y[:, None], vals[i])
+        p_seq = prior * lik.sum(axis=1)
+        seen = p_seq > 0.0
+        h_cond = _row_entropies(lik[seen])
+        for p, h in zip(p_seq[seen].tolist(), h_cond.tolist()):  # in mask order
+            mi += p * (n * LOG2_3 - h)
     return mi

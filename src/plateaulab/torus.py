@@ -117,11 +117,6 @@ def bohr_dist(u: float, v: float) -> float:
     return d if d <= 0.5 else 1.0 - d
 
 
-def bohr_dist_array(u: np.ndarray, v) -> np.ndarray:
-    d = np.mod(u - v, 1.0)
-    return np.minimum(d, 1.0 - d)
-
-
 # Grid comparisons work in 3x-scaled space (circular distance of 3*x_j to
 # the integer trit, modulo 3): the trits are then exact floats, so ties at
 # the 1/6 boundary are detected exactly instead of drowning in the rounding

@@ -128,7 +128,7 @@ def run_trainer(
     target = f.max_value - alpha
 
     if algo == "random" and not record_transcript:
-        return _run_random_batched(f, region, alpha, target, budget, stack)
+        return _run_random_batched(f, region, target, budget, stack)
 
     engine = make_engine(algo, n, stack)
     transcript = Transcript() if record_transcript else None
@@ -156,7 +156,6 @@ def run_trainer(
 def _run_random_batched(
     f: ShiftedProductFunction,
     region: PlateauRegion,
-    alpha: float,
     target: float,
     budget: int,
     stack: RandomStack,

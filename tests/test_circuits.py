@@ -7,7 +7,6 @@ from plateaulab.circuits import (
     HAMILTONIAN,
     PHI,
     ShiftedProductFunction,
-    f_eval,
     h_eval,
     h_eval_array,
     single_qubit_sim,
@@ -71,10 +70,10 @@ def test_h_bounded_by_two_thirds_outside_near_region():
 
 def test_f_eval_examples():
     f = ShiftedProductFunction(2, GridShift((0, 0)))
-    assert f_eval(f, TorusPoint([0.0, 0.0])) == pytest.approx(1.0)
-    assert f_eval(f, TorusPoint([1 / 3, 0.0])) == pytest.approx(0.0, abs=1e-12)
+    assert f(TorusPoint([0.0, 0.0])) == pytest.approx(1.0)
+    assert f(TorusPoint([1 / 3, 0.0])) == pytest.approx(0.0, abs=1e-12)
     fa = ShiftedProductFunction(3, GridShift((2, 0, 1)))
-    assert f_eval(fa, fa.argmax()) == pytest.approx(1.0)
+    assert fa(fa.argmax()) == pytest.approx(1.0)
 
 
 def test_f_range_and_shift_covariance():

@@ -123,11 +123,38 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["mi", "--n", "0", "--m", "0"],
         ["identify", "--n", "0"],
         ["identify", "--n", "2", "--tol", "nan"],
+        ["mi", "--n", "1", "--strategy", "fixed", "--point", "inf"],
+        ["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"],
+        ["game", "--n", "0"],
     ],
     ids=" ".join,
 )
 def test_bad_sizes_exit_2(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mi", "--n", "2", "--strategy", "fixed", "--point", "0.1,inf"], "must be finite"),
+        (["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"], "must be finite"),
+        (["game", "--n", "0"], "n must be >= 1"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_bad_input_names_the_problem(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_identify_at_tiny_tol_is_consistent(tmp_path):
+    # the oracle value is read from the candidate table, so even a tol
+    # far below float rounding finds the hidden shift
+    out = tmp_path / "x.csv"
+    argv = ["identify", "--n", "4", "--trials", "500", "--tol", "1e-16", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    header, row = out.read_text().strip().splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["correct_rate"]) == 1.0
 
 
 @pytest.mark.parametrize("command", ["game", "exit-time"])

@@ -10,7 +10,6 @@ from plateaulab.game import (
     PlateauRegion,
     bounds,
     estimate_win_cdf,
-    in_plateau,
     make_strategy,
     p_exact_fraction,
     play_game,
@@ -22,9 +21,9 @@ from plateaulab.torus import GridShift, TorusPoint
 
 def test_in_plateau_examples():
     region = PlateauRegion(2, GridShift((0, 0)))
-    assert in_plateau(region, TorusPoint([0.5, 0.5]))
-    assert not in_plateau(region, TorusPoint([0.5, 0.05]))
-    assert not in_plateau(region, TorusPoint([0.0, 0.0]))  # center never a member
+    assert region.contains(TorusPoint([0.5, 0.5]))
+    assert not region.contains(TorusPoint([0.5, 0.05]))
+    assert not region.contains(TorusPoint([0.0, 0.0]))  # center never a member
 
 
 def test_in_plateau_shift_covariance():
@@ -34,7 +33,7 @@ def test_in_plateau_shift_covariance():
     p0 = PlateauRegion(5, GridShift.zero(5))
     for _ in range(300):
         x = TorusPoint(rng.random(5))
-        assert in_plateau(pa, x) == in_plateau(p0, x - a)
+        assert pa.contains(x) == p0.contains(x - a)
 
 
 def test_bounds_exact_values():

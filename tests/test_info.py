@@ -29,7 +29,7 @@ from plateaulab.info import (
 )
 from plateaulab.game import uniform_strategy
 from plateaulab.oracles import RandomStack
-from plateaulab.torus import GridShift, TorusPoint
+from plateaulab.torus import GridShift, TorusPoint, wrap01_array
 
 
 def test_uniform_posterior_entropy():
@@ -182,12 +182,18 @@ _coord = st.one_of(
     st.floats(0.0, 1.0, exclude_max=True),
     st.sampled_from([0.0, 1 / 3, 2 / 3, 1 / 6, 0.5, 5 / 6]),
 )
+# ... and the floats just below them, where an unwrapped x_j - a_j rounds
+# differently from a wrapped one
+_coord_or_below = st.one_of(
+    _coord,
+    st.sampled_from([math.nextafter(c, 0.0) for c in (1 / 3, 2 / 3, 1.0, 1 / 6, 0.5, 5 / 6)]),
+)
 _seed = st.integers(-(2**65), 2**65)
 
 
-def _points(n, rows):
+def _points(n, rows, coord=_coord):
     return st.lists(
-        st.lists(_coord, min_size=n, max_size=n), min_size=rows, max_size=rows
+        st.lists(coord, min_size=n, max_size=n), min_size=rows, max_size=rows
     ).map(lambda p: np.array(p, dtype=np.float64).reshape(rows, n))
 
 
@@ -198,7 +204,7 @@ def _gathered_candidate_values(points):
     trits = np.stack([(idx // 3**j) % 3 for j in range(n)], axis=1)
     out = []
     for x in points:
-        htab = h_eval_array(x[:, None] - np.arange(3)[None, :] / 3)
+        htab = h_eval_array(wrap01_array(x[:, None] - np.arange(3)[None, :] / 3))
         out.append(np.prod(htab[np.arange(n)[None, :], trits], axis=1))
     return np.array(out)
 
@@ -214,6 +220,16 @@ def test_candidate_block_equals_product_gather(data, n, rows):
 
 
 @settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), rows=st.integers(1, 4))
+def test_candidate_block_equals_scalar_oracle_for_every_shift(data, n, rows):
+    points = data.draw(_points(n, rows, _coord_or_below))
+    got = candidate_block(points)
+    for a in range(3**n):
+        f = ShiftedProductFunction(n, GridShift.from_index(n, a))
+        assert got[:, a].tolist() == [f(TorusPoint(x)) for x in points]
+
+
+@settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 8), rows=st.integers(1, 5))
 def test_shifted_product_rows_equal_scalar_calls(data, n, rows):
     points = data.draw(_points(n, rows))
@@ -225,6 +241,17 @@ def test_shifted_product_rows_equal_scalar_calls(data, n, rows):
         for x, a in zip(points, trits)
     ]
     assert np.array_equal(shifted_product_rows(points, trits), want)
+    # points in an (a, b, n) block, with one trit row per point
+    block = np.stack([points, points[::-1]])
+    assert np.array_equal(
+        shifted_product_rows(block, np.stack([trits, trits[::-1]])), [want, want[::-1]]
+    )
+    # one (n,) shift for every point, and eval_array, which calls it
+    f = ShiftedProductFunction(n, GridShift(tuple(int(t) for t in trits[0])))
+    one = [f(TorusPoint(x)) for x in points]
+    assert np.array_equal(shifted_product_rows(points, trits[0]), one)
+    assert np.array_equal(shifted_product_rows(block, trits[0]), [one, one[::-1]])
+    assert np.array_equal(f.eval_array(points), one)
 
 
 def test_h_eval_array_matches_scalar_bits():
@@ -254,6 +281,16 @@ def _or_inconsistent(fn, *args):
         return fn(*args)
     except InconsistentOracleError:
         return "inconsistent"
+
+
+def test_omnipotent_identify_at_the_smallest_tol():
+    # candidate values equal the oracle's to the bit, so the hidden shift
+    # matches at any positive tol
+    for s in range(300):
+        stack = RandomStack(s)
+        hidden = GridShift.from_index(4, stack.pop_index(3**4))
+        res = omnipotent_identify(4, ShiftedProductFunction(4, hidden), stack, tol=5e-324)
+        assert res.shift == hidden
 
 
 @settings(max_examples=60, deadline=None)
@@ -302,7 +339,44 @@ def test_mi_chunk_rejects_bad_specs():
         mi_transcript_chunk(2, "grid", 3, 0, 5, 0)
 
 
-@pytest.mark.parametrize("n, m", [(3, 6), (4, 4)])
+def _per_sequence_exact_mi(n, points):
+    """Reference: one likelihood vector and one entropy per outcome sequence."""
+    size = 3**n
+    vals = [candidate_values(n, x) for x in points]
+    mi = 0.0
+    for mask in range(2 ** len(points)):
+        lik = np.ones(size)
+        for i, v in enumerate(vals):
+            y = 1 if (mask >> i) & 1 else -1
+            lik *= (1.0 + y * v) / 2.0
+        p_seq = 1.0 / size * lik.sum()
+        if p_seq <= 0.0:
+            continue
+        post = lik / lik.sum()
+        post = post[post > 0]
+        mi += p_seq * (n * LOG2_3 - float(-np.sum(post * np.log2(post))))
+    return mi
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), m=st.integers(1, 8))
+def test_mi_exact_enumeration_equals_per_sequence_loop(data, n, m):
+    # grid points give outcome sequences of zero likelihood
+    points = [TorusPoint(x) for x in data.draw(_points(n, m))]
+    assert mi_exact_enumeration(n, points) == _per_sequence_exact_mi(n, points)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_mi_exact_enumeration_across_blocks_equals_per_sequence_loop(n):
+    # 2**8 outcome sequences span two blocks at n = 4 and four at n = 5
+    assert 2**8 > info._block_rows(n)
+    stack = RandomStack(23)
+    points = [TorusPoint((stack.pop_batch(n) + 1.0) / 2.0) for _ in range(7)]
+    points.append(GridShift.from_index(n, 5).to_point())
+    assert mi_exact_enumeration(n, points) == _per_sequence_exact_mi(n, points)
+
+
+@pytest.mark.parametrize("n, m", [(3, 6), (4, 4), (2, 10)])
 def test_mi_matches_mean_exact_enumeration_over_uniform_queries(n, m):
     # uniform queries do not depend on C, so averaging the exact MI of
     # uniformly drawn query sequences estimates the same MI with the
