@@ -2,7 +2,8 @@
 
 Each subcommand runs one verification experiment, writes a CSV table or a
 JSON report, and exits 0 if every bound check passed, 1 if a statistical
-bound was violated beyond 3 standard errors, 2 on invalid configuration.
+bound was violated beyond 3 standard errors, 2 on invalid configuration
+and 3 on an internal error (any other exception, an OSError included).
 Runs are deterministic: the same argv (including --seed) produces
 byte-identical CSV regardless of --workers.
 """
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +30,7 @@ SEED_ENV_VAR = "PLATEAULAB_SEED"
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_BAD_CONFIG = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 def _fmt(v) -> str:
@@ -193,6 +196,8 @@ def _identify(args):
 def run_experiment(args) -> int:
     """Run the subcommand's experiment, write its report, map checks to an exit code."""
     t0 = time.monotonic()
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         raise ValueError(f"--out: directory {os.path.dirname(args.out)!r} does not exist")
     if args.out and os.path.isdir(args.out):
@@ -313,6 +318,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except Exception as exc:  # exit 1 would read as "bound exceeded"
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

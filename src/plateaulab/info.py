@@ -17,14 +17,13 @@ from ._parallel import chunk_ranges, run_chunks
 from .circuits import h_eval_array
 from .game import Strategy
 from .oracles import RandomStack, eval_query
-from .rng import index_block, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
 from .torus import GRID_BASE, GridShift, TorusPoint, wrap01_array
 
 LOG2_3 = math.log2(3)
 
 MI_N_CAP = 8  # 3**n posteriors must fit comfortably
 IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~32 3**n bytes: 51 MB at 13
-_BLOCK_BYTES = 2**17  # float64 rows x 3**n per sub-block; bounds peak memory
 _TRIT_SHIFTS = np.arange(GRID_BASE) / GRID_BASE  # t/3 for each trit t
 
 
@@ -33,8 +32,8 @@ class InconsistentOracleError(RuntimeError):
 
 
 def _block_rows(n: int) -> int:
-    """Rows per sub-block, so that rows x 3**n float64 stays near _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (8 * GRID_BASE**n))
+    """Rows per sub-block, so that rows x 3**n float64 stays near BLOCK_BYTES."""
+    return max(1, BLOCK_BYTES // (8 * GRID_BASE**n))
 
 
 def candidate_block(points: np.ndarray) -> np.ndarray:

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .rng import RandomStack
 from .torus import TorusPoint
 
@@ -50,8 +48,8 @@ class Transcript:
 class ClampedFunction:
     """Piecewise function: constant eta on the region, the base elsewhere."""
 
-    base: object  # callable with .n and eval_array
-    region: object  # PlateauRegion-like: .contains(x), .contains_array(points)
+    base: object  # callable on a TorusPoint, with .n
+    region: object  # PlateauRegion-like: .n and .contains(x)
     eta: float
 
     def __post_init__(self):
@@ -66,11 +64,6 @@ class ClampedFunction:
         if self.region.contains(x):
             return self.eta
         return self.base(x)
-
-    def eval_array(self, points: np.ndarray) -> np.ndarray:
-        return np.where(
-            self.region.contains_array(points), self.eta, self.base.eval_array(points)
-        )
 
 
 def clamp_to_plateau(base, region, eta: float) -> ClampedFunction:

@@ -16,6 +16,7 @@ _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
 _BUF_SIZE = 512
+BLOCK_BYTES = 2**17  # float64 bytes per sub-block of a chunk's array step; bounds peak memory
 
 
 def _mix64(z: int) -> int:

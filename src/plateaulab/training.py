@@ -5,20 +5,28 @@ The harness, not the trainer, checks the "magic" success condition
 f(x) >= max f - alpha with the trusted analytic function after every
 query; the check costs no queries.  All three trainers are plumbing: the
 bounds under test quantify over every training algorithm.
+
+Each trainer is one `points` and one `update` function of a round: the
+queries whose points are fixed before any of their answers.  `_lockstep`
+runs every trial of a chunk through them together; `run_trainer` runs
+them on one row, query by query, as the reference.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._parallel import chunk_ranges, run_chunks
-from .circuits import ShiftedProductFunction
+from .circuits import ShiftedProductFunction, shifted_product_rows
 from .game import CdfRow, PlateauRegion, cdf_rows, delta_bound, p_exact_fraction
-from .oracles import RandomStack, Transcript, clamp_to_plateau, coupled_sample, sample_query
-from .torus import GRID_BASE, GridShift, TorusPoint
+# coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
+from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
+from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
+from .torus import GRID_BASE, GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
 
 ALGORITHMS = ("random", "spsa", "pshift")
 
@@ -31,8 +39,6 @@ SPSA_GAMMA_EXP = 0.101
 
 PSHIFT_SHIFT = 0.25  # quarter period
 PSHIFT_STEP = 0.1
-
-_FAST_CHUNK = 4096
 
 
 @dataclass
@@ -48,52 +54,41 @@ class TrainerResult:
     transcript: Optional[Transcript] = None
 
 
-QueryEngine = Generator[TorusPoint, int, None]
+def _round_shape(algo: str, n: int) -> tuple[int, int]:
+    """(point draws, queries) of one round: random search draws a point and
+    asks it; SPSA draws a direction and asks x +- c_k Delta; parameter-shift
+    draws nothing and asks x +- e_j/4 for every coordinate j."""
+    shapes = {"random": (n, 1), "spsa": (n, 2), "pshift": (0, 2 * n)}
+    if algo not in shapes:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    return shapes[algo]
 
 
-def _random_engine(n: int, stack: RandomStack) -> QueryEngine:
-    while True:
-        u = stack.pop_batch(n)
-        yield TorusPoint((u + 1.0) / 2.0)
+def points(algo: str, x, k: int, u: np.ndarray) -> np.ndarray:
+    """(rows, queries, n) query points of round k >= 1 from the (rows, n)
+    iterate x (None for random search) and the (rows, draws) point draws u,
+    before TorusPoint wraps them."""
+    if algo == "random":
+        return ((u + 1.0) / 2.0)[:, None, :]
+    if algo == "spsa":
+        step = SPSA_C / k**SPSA_GAMMA_EXP * np.where(u < 0.0, -1.0, 1.0)
+        return np.stack([x + step, x - step], axis=1)
+    n = x.shape[-1]  # pshift: rows +e_j/4 and -e_j/4, j = 0..n-1
+    return x[:, None, :] + PSHIFT_SHIFT * np.kron(np.eye(n), [[1.0], [-1.0]])
 
 
-def _spsa_engine(n: int, stack: RandomStack) -> QueryEngine:
-    u = stack.pop_batch(n)
-    x = (u + 1.0) / 2.0
-    k = 1
-    while True:
+def update(algo: str, x, k: int, u: np.ndarray, y: np.ndarray):
+    """The iterate after round k, from the round's point draws u and its
+    (rows, queries) +-1 answers y, in query order."""
+    if algo == "spsa":
         ck = SPSA_C / k**SPSA_GAMMA_EXP
         ak = SPSA_A / (k + SPSA_STABILITY) ** SPSA_ALPHA_EXP
-        delta = np.where(stack.pop_batch(n) < 0.0, -1.0, 1.0)
-        y_plus = yield TorusPoint(x + ck * delta)
-        y_minus = yield TorusPoint(x - ck * delta)
-        ghat = (y_plus - y_minus) / (2.0 * ck) * delta
-        x = np.mod(x + ak * ghat, 1.0)  # ascent: maximizing
-        k += 1
-
-
-def _pshift_engine(n: int, stack: RandomStack) -> QueryEngine:
-    u = stack.pop_batch(n)
-    x = (u + 1.0) / 2.0
-    while True:
-        grad = np.zeros(n)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = PSHIFT_SHIFT
-            y_plus = yield TorusPoint(x + e)
-            y_minus = yield TorusPoint(x - e)
-            grad[j] = (y_plus - y_minus) / 2.0
-        x = np.mod(x + PSHIFT_STEP * grad, 1.0)
-
-
-def make_engine(algo: str, n: int, stack: RandomStack) -> QueryEngine:
-    if algo == "random":
-        return _random_engine(n, stack)
-    if algo == "spsa":
-        return _spsa_engine(n, stack)
+        ghat = (y[:, :1] - y[:, 1:]) / (2.0 * ck) * np.where(u < 0.0, -1.0, 1.0)
+        return np.mod(x + ak * ghat, 1.0)  # ascent: maximizing
     if algo == "pshift":
-        return _pshift_engine(n, stack)
-    raise ValueError(f"unknown algorithm {algo!r}")
+        grad = (y[:, 0::2] - y[:, 1::2]) / 2.0
+        return np.mod(x + PSHIFT_STEP * grad, 1.0)
+    return x
 
 
 def default_alpha(n: int) -> float:
@@ -102,6 +97,13 @@ def default_alpha(n: int) -> float:
     if alpha <= 0.0:
         raise ValueError(f"default alpha is non-positive for n={n}; need n >= 4")
     return alpha
+
+
+def _check_trainer_args(alpha: float, budget: int) -> None:
+    if not 0.0 < alpha < 2.0:
+        raise ValueError("alpha must lie in (0, 2)")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
 
 
 def run_trainer(
@@ -115,78 +117,92 @@ def run_trainer(
     """Run one trainer against the sample oracle of f until the magic
     success condition fires or the budget is spent.
 
-    The successful output point is always a queried point.  The batched
-    random-search path may pop stack draws past the terminating query;
-    the result itself is identical to the query-by-query path.
+    The per-query reference of the lockstep chunks: the same rounds on one
+    row, with TorusPoint, f(x), region.contains and sample_query.  Every
+    trainer, random search included, asks one query at a time, and the
+    stack is popped exactly as far as the last query.  The successful
+    output point is always a queried point.
     """
-    if not 0.0 < alpha < 2.0:
-        raise ValueError("alpha must lie in (0, 2)")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    _check_trainer_args(alpha, budget)
     n = f.n
+    draws, _ = _round_shape(algo, n)
     region = PlateauRegion(n, f.shift)
     target = f.max_value - alpha
-
-    if algo == "random" and not record_transcript:
-        return _run_random_batched(f, region, target, budget, stack)
-
-    engine = make_engine(algo, n, stack)
     transcript = Transcript() if record_transcript else None
-    x = next(engine)
+    x = None if algo == "random" else (stack.pop_batch(n)[None, :] + 1.0) / 2.0
     queries = 0
     first_exit: Optional[int] = None
-    while True:
-        outcome = sample_query(f, x, stack)
-        queries += 1
-        if transcript is not None:
-            transcript.append(x, outcome)
-        if first_exit is None and not region.contains(x):
-            first_exit = queries
-        if f(x) >= target:
-            return TrainerResult(
-                algo, n, f.shift, queries, first_exit, x, True, budget, transcript
-            )
-        if queries >= budget:
-            return TrainerResult(
-                algo, n, f.shift, queries, first_exit, None, False, budget, transcript
-            )
-        x = engine.send(outcome)
+    for k in itertools.count(1):
+        u = stack.pop_batch(draws)[None, :]
+        answers = []
+        for p in points(algo, x, k, u)[0]:
+            xq = TorusPoint(p)
+            outcome = sample_query(f, xq, stack)
+            queries += 1
+            if transcript is not None:
+                transcript.append(xq, outcome)
+            if first_exit is None and not region.contains(xq):
+                first_exit = queries
+            hit = f(xq) >= target
+            if hit or queries >= budget:
+                output = xq if hit else None
+                return TrainerResult(
+                    algo, n, f.shift, queries, first_exit, output, hit, budget, transcript
+                )
+            answers.append(outcome)
+        x = update(algo, x, k, u, np.array([answers]))
 
 
-def _run_random_batched(
-    f: ShiftedProductFunction,
-    region: PlateauRegion,
-    target: float,
-    budget: int,
-    stack: RandomStack,
-) -> TrainerResult:
-    n = f.n
-    done = 0
-    first_exit: Optional[int] = None
-    while done < budget:
-        chunk = min(_FAST_CHUNK, budget - done)
-        u = stack.pop_batch(chunk * (n + 1)).reshape(chunk, n + 1)
-        pts = (u[:, :n] + 1.0) / 2.0
-        fvals = f.eval_array(pts)
-        inside = region.contains_array(pts)
-        hits = np.flatnonzero(fvals >= target)
-        exits = np.flatnonzero(~inside)
-        hit = int(hits[0]) if hits.size else None
-        if first_exit is None and exits.size and (hit is None or exits[0] <= hit):
-            first_exit = done + int(exits[0]) + 1
-        if hit is not None:
-            return TrainerResult(
-                "random",
-                n,
-                f.shift,
-                done + hit + 1,
-                first_exit,
-                TorusPoint(pts[hit]),
-                True,
-                budget,
-            )
-        done += chunk
-    return TrainerResult("random", n, f.shift, budget, first_exit, None, False, budget)
+def _lockstep(
+    algo: str, n: int, m: int, start: int, count: int, seed: int, stop
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run trials [start, start+count) of algo together for up to m queries.
+
+    Trial t draws what run_trainer on RandomStack(seed, t) draws: the hidden
+    shift from draw 0, the start point (SPSA, parameter-shift), then each
+    round's point draws and one answer draw per query.  stop(f, inside, r)
+    marks the queries that end a trial from f_a(x), x in P_a and the answer
+    draw r, each of shape (rows, queries); finished trials drop out.
+    Returns per trial the query that stopped it and its first query outside
+    the hidden plateau up to then, 0 for none.
+    """
+    draws, per_round = _round_shape(algo, n)
+    stopped = np.zeros(count, dtype=np.int64)
+    first_exit = np.zeros(count, dtype=np.int64)
+    block = max(1, BLOCK_BYTES // (8 * per_round * n))  # rows x queries per step
+    for s in range(0, count, block):
+        rows = np.arange(s, min(s + block, count))
+        bases = stream_bases(seed, start + rows)
+        trits = index_trits(index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n), n)
+        x = None if algo == "random" else (uniform_block(bases, 1, n) + 1.0) / 2.0
+        drawn = 1 if x is None else 1 + n
+        k = 1
+        done = 0
+        while len(rows) and done < m:
+            # random search has no iterate, so one step can hold many rounds
+            rounds = min(block // len(rows), m - done) if x is None else 1
+            width = rounds * per_round
+            u = uniform_block(bases, drawn, rounds * (draws + per_round))
+            u, r = np.hsplit(u.reshape(len(rows) * rounds, draws + per_round), [draws])
+            r = r.reshape(len(rows), width)
+            pts = wrap01_array(points(algo, x, k, u).reshape(len(rows), width, n))
+            fx = shifted_product_rows(pts, trits[:, None, :])
+            inside = far_count_array(pts, trits[:, None, :]) > n / 2
+            q = np.arange(done + 1, done + width + 1)  # query numbers
+            hit = stop(fx, inside, r) & (q <= m)
+            fin = hit.any(axis=1)
+            last = np.where(fin, hit.argmax(axis=1), min(width, m - done) - 1)
+            out = ~inside & (q <= q[last][:, None])  # asked by the trial
+            new = out.any(axis=1) & (first_exit[rows] == 0)
+            first_exit[rows[new]] = q[out[new].argmax(axis=1)]
+            stopped[rows[fin]] = q[last[fin]]
+            if x is not None:
+                x = update(algo, x, k, u, np.where(r < fx, 1, -1))[~fin]
+            rows, bases, trits = rows[~fin], bases[~fin], trits[~fin]
+            drawn += rounds * (draws + per_round)
+            done += width
+            k += rounds
+    return stopped, first_exit
 
 
 # --- trial sweeps -----------------------------------------------------------
@@ -195,14 +211,12 @@ def trainer_trials_chunk(
     algo: str, n: int, alpha: float, budget: int, start: int, count: int, seed: int
 ) -> list[tuple[int, int, bool, Optional[int]]]:
     """(trial, T_A, succeeded, T'_A) rows for trials [start, start+count)."""
-    rows = []
-    for trial in range(start, start + count):
-        stack = RandomStack(seed, trial)
-        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
-        f = ShiftedProductFunction(n, hidden)
-        res = run_trainer(algo, f, alpha, budget, stack)
-        rows.append((trial, res.queries_total, res.succeeded, res.first_exit))
-    return rows
+    target = 1.0 - alpha  # ShiftedProductFunction.max_value - alpha
+    hit, first_exit = _lockstep(
+        algo, n, budget, start, count, seed, lambda fx, inside, r: fx >= target
+    )
+    rows = zip(range(start, start + count), hit.tolist(), first_exit.tolist())
+    return [(t, h or budget, h > 0, e or None) for t, h, e in rows]
 
 
 def trainer_sweep(
@@ -214,15 +228,15 @@ def trainer_sweep(
     seed: int,
     workers: int = 1,
 ) -> list[tuple[int, int, bool, Optional[int]]]:
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_trainer_args(alpha, budget)
     chunks = [
         (algo, n, alpha, budget, s, c, seed) for s, c in chunk_ranges(trials)
     ]
-    out: list = []
-    for part in run_chunks(trainer_trials_chunk, chunks, workers):
-        out.extend(part)
-    return out
+    return [row for part in run_chunks(trainer_trials_chunk, chunks, workers) for row in part]
 
 
 def divergence_chunk(
@@ -234,21 +248,11 @@ def divergence_chunk(
     deterministic algorithm on the same stack, so their query points and
     inner states coincide; comparing outcomes is a complete divergence test.
     """
-    diverged = 0
-    for trial in range(start, start + count):
-        stack = RandomStack(seed, trial)
-        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
-        f = ShiftedProductFunction(n, hidden)
-        fbar = clamp_to_plateau(f, PlateauRegion(n, hidden), eta)
-        engine = make_engine(algo, n, stack)
-        x = next(engine)
-        for _ in range(m):
-            out_f, _out_fbar, div = coupled_sample(f, fbar, x, stack)
-            if div:
-                diverged += 1
-                break
-            x = engine.send(out_f)
-    return diverged
+    hit, _ = _lockstep(
+        algo, n, m, start, count, seed,
+        lambda fx, inside, r: inside & ((r < fx) != (r < eta)),
+    )
+    return int(np.count_nonzero(hit))
 
 
 def divergence_experiment(
@@ -265,6 +269,8 @@ def divergence_experiment(
         raise ValueError("need n >= 4 so that delta < 1/2")
     if m < 0 or trials < 1:
         raise ValueError("m must be >= 0 and trials >= 1")
+    if not -1.0 <= eta <= 1.0:
+        raise ValueError("eta must lie in [-1, 1]")
     if m == 0:
         return 0.0, 0.0
     chunks = [(algo, n, m, eta, s, c, seed) for s, c in chunk_ranges(trials)]
@@ -277,22 +283,8 @@ def exit_time_chunk(
     algo: str, n: int, m_max: int, start: int, count: int, seed: int
 ) -> np.ndarray:
     """First-exit-round histogram (length m_max); censored runs drop out."""
-    counts = np.zeros(m_max, dtype=np.int64)
-    for trial in range(start, start + count):
-        stack = RandomStack(seed, trial)
-        hidden = GridShift.from_index(n, stack.pop_index(GRID_BASE**n))
-        f = ShiftedProductFunction(n, hidden)
-        region = PlateauRegion(n, hidden)
-        engine = make_engine(algo, n, stack)
-        x = next(engine)
-        for q in range(1, m_max + 1):
-            outcome = sample_query(f, x, stack)
-            if not region.contains(x):
-                counts[q - 1] += 1
-                break
-            if q < m_max:
-                x = engine.send(outcome)
-    return counts
+    hit, _ = _lockstep(algo, n, m_max, start, count, seed, lambda fx, inside, r: ~inside)
+    return np.bincount(hit, minlength=m_max + 1)[1:]
 
 
 def exit_time_experiment(
@@ -305,6 +297,8 @@ def exit_time_experiment(
 ) -> list[CdfRow]:
     """Empirical CDF of the first query landing outside the hidden plateau,
     against the combined bound (p_exact + delta/2) * m."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if m_max < 0:

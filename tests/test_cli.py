@@ -9,6 +9,7 @@ from plateaulab.cli import (
     DEFAULT_SEED,
     EXIT_BAD_CONFIG,
     EXIT_BOUND_VIOLATION,
+    EXIT_INTERNAL_ERROR,
     EXIT_OK,
     main,
 )
@@ -126,6 +127,12 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["mi", "--n", "1", "--strategy", "fixed", "--point", "inf"],
         ["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"],
         ["game", "--n", "0"],
+        ["exit-time", "--n", "0"],
+        ["train", "--n", "0", "--alpha", "0.5"],
+        ["train", "--n", "5", "--alpha", "2"],
+        ["train", "--n", "5", "--budget", "0"],
+        ["diverge", "--n", "5", "--m", "0", "--eta", "5"],
+        ["game", "--n", "3", "--trials", "5", "--workers", "-3"],
     ],
     ids=" ".join,
 )
@@ -139,12 +146,30 @@ def test_bad_sizes_exit_2(tmp_path, argv):
         (["mi", "--n", "2", "--strategy", "fixed", "--point", "0.1,inf"], "must be finite"),
         (["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"], "must be finite"),
         (["game", "--n", "0"], "n must be >= 1"),
+        (["exit-time", "--n", "0"], "n must be >= 1"),
+        (["diverge", "--n", "5", "--m", "0", "--eta", "5"], "eta must lie in [-1, 1]"),
+        (["game", "--n", "3", "--trials", "5", "--workers", "-3"], "--workers must be >= 1"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
 def test_bad_input_names_the_problem(tmp_path, capsys, argv, message):
     assert main(argv + ["--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
     assert message in capsys.readouterr().err
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(game, "bounds", crash)
+    assert main(["bounds", "--n-max", "2"]) == EXIT_INTERNAL_ERROR
+    assert "error: internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_write_error_exits_3(capsys):
+    assert main(["bounds", "--n-max", "2", "--out", "/dev/full"]) == EXIT_INTERNAL_ERROR
+    assert "error: internal error: OSError" in capsys.readouterr().err
 
 
 def test_identify_at_tiny_tol_is_consistent(tmp_path):

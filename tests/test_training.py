@@ -1,19 +1,104 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plateaulab.circuits import ShiftedProductFunction
-from plateaulab.oracles import RandomStack
-from plateaulab.torus import GridShift
+from plateaulab.game import PlateauRegion
+from plateaulab.oracles import RandomStack, clamp_to_plateau, coupled_sample, sample_query
+from plateaulab.torus import GridShift, TorusPoint
 from plateaulab.training import (
+    PSHIFT_SHIFT,
+    PSHIFT_STEP,
+    SPSA_A,
+    SPSA_ALPHA_EXP,
+    SPSA_C,
+    SPSA_GAMMA_EXP,
+    SPSA_STABILITY,
     default_alpha,
+    divergence_chunk,
     divergence_experiment,
+    exit_time_chunk,
     exit_time_experiment,
     run_trainer,
     trainer_sweep,
+    trainer_trials_chunk,
 )
 
 
 def _f(n, trits=None):
     return ShiftedProductFunction(n, GridShift(tuple(trits) if trits else (0,) * n))
+
+
+# --- per-query references ----------------------------------------------------
+# The three trainers as generators, one query per yield (the answer comes back
+# through send), written from the textbook steps rather than from rounds.
+
+def _query_engine(algo, n, stack):
+    if algo == "random":
+        while True:
+            yield TorusPoint((stack.pop_batch(n) + 1.0) / 2.0)
+    x = (stack.pop_batch(n) + 1.0) / 2.0
+    k = 1
+    while True:
+        if algo == "spsa":
+            ck = SPSA_C / k**SPSA_GAMMA_EXP
+            ak = SPSA_A / (k + SPSA_STABILITY) ** SPSA_ALPHA_EXP
+            delta = np.where(stack.pop_batch(n) < 0.0, -1.0, 1.0)
+            y_plus = yield TorusPoint(x + ck * delta)
+            y_minus = yield TorusPoint(x - ck * delta)
+            x = np.mod(x + ak * ((y_plus - y_minus) / (2.0 * ck) * delta), 1.0)
+        else:
+            grad = np.zeros(n)
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = PSHIFT_SHIFT
+                y_plus = yield TorusPoint(x + e)
+                y_minus = yield TorusPoint(x - e)
+                grad[j] = (y_plus - y_minus) / 2.0
+            x = np.mod(x + PSHIFT_STEP * grad, 1.0)
+        k += 1
+
+
+def _trial(n, seed, t):
+    stack = RandomStack(seed, t)
+    return ShiftedProductFunction(n, GridShift.from_index(n, stack.pop_index(3**n))), stack
+
+
+def _first_exit(algo, n, m, seed, t):
+    """First query outside the hidden plateau within m queries, or None."""
+    f, stack = _trial(n, seed, t)
+    region = PlateauRegion(n, f.shift)
+    engine = _query_engine(algo, n, stack)
+    x = next(engine)
+    for q in range(1, m + 1):
+        outcome = sample_query(f, x, stack)
+        if not region.contains(x):
+            return q
+        x = engine.send(outcome)
+    return None
+
+
+def _diverges(algo, n, m, eta, seed, t):
+    f, stack = _trial(n, seed, t)
+    fbar = clamp_to_plateau(f, PlateauRegion(n, f.shift), eta)
+    engine = _query_engine(algo, n, stack)
+    x = next(engine)
+    for _ in range(m):
+        out_f, _out_fbar, diverged = coupled_sample(f, fbar, x, stack)
+        if diverged:
+            return True
+        x = engine.send(out_f)
+    return False
+
+
+_chunk_args = dict(
+    algo=st.sampled_from(["random", "spsa", "pshift"]),
+    n=st.integers(1, 8),
+    seed=st.integers(-(2**65), 2**65),
+    start=st.integers(0, 2**40),
+    count=st.integers(0, 60),
+)
 
 
 def test_run_trainer_validation():
@@ -61,15 +146,56 @@ def test_trainer_reproducible_and_output_queried(algo):
 
 
 def test_batched_random_path_matches_query_loop():
-    f = _f(5, (0, 2, 1, 1, 0))
-    fast = run_trainer("random", f, 0.7, 4000, RandomStack(42, 7))
-    slow = run_trainer("random", f, 0.7, 4000, RandomStack(42, 7), record_transcript=True)
-    assert (fast.queries_total, fast.succeeded, fast.first_exit, fast.output) == (
-        slow.queries_total,
-        slow.succeeded,
-        slow.first_exit,
-        slow.output,
-    )
+    # random search over several lockstep steps of many rounds each (two
+    # trials succeed late, two spend the budget), against run_trainer
+    rows = trainer_trials_chunk("random", 5, 0.2, 4000, 5, 4, 42)
+    for trial, queries, succeeded, first_exit in rows:
+        f, stack = _trial(5, 42, trial)
+        res = run_trainer("random", f, 0.2, 4000, stack, record_transcript=True)
+        assert (queries, succeeded, first_exit) == (
+            res.queries_total,
+            res.succeeded,
+            res.first_exit,
+        )
+    assert [r[0] for r in rows] == [5, 6, 7, 8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    **_chunk_args,
+    alpha=st.floats(0.05, 1.95),
+    budget=st.integers(1, 40),
+)
+@example(algo="spsa", n=1, seed=0, start=0, count=60, alpha=0.1, budget=3)  # exits at query 4
+def test_trainer_chunk_equals_run_trainer(algo, n, seed, start, count, alpha, budget):
+    # odd budgets cut an SPSA round, and budgets that are not multiples of
+    # 2n cut a parameter-shift round
+    rows = trainer_trials_chunk(algo, n, alpha, budget, start, count, seed)
+    want = []
+    for t in range(start, start + count):
+        f, stack = _trial(n, seed, t)
+        res = run_trainer(algo, f, alpha, budget, stack)
+        want.append((t, res.queries_total, res.succeeded, res.first_exit))
+    assert rows == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_chunk_args, m=st.integers(0, 40))
+def test_exit_time_chunk_equals_first_exit_loop(algo, n, seed, start, count, m):
+    want = np.zeros(m, dtype=np.int64)
+    for t in range(start, start + count):
+        q = _first_exit(algo, n, m, seed, t)
+        if q is not None:
+            want[q - 1] += 1
+    got = exit_time_chunk(algo, n, m, start, count, seed)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_chunk_args, m=st.integers(0, 40), eta=st.floats(-1.0, 1.0))
+def test_divergence_chunk_equals_coupled_sample_loop(algo, n, seed, start, count, m, eta):
+    want = sum(_diverges(algo, n, m, eta, seed, t) for t in range(start, start + count))
+    assert divergence_chunk(algo, n, m, eta, start, count, seed) == want
 
 
 def test_success_is_magic_checked_against_true_function():
