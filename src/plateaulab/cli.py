@@ -84,6 +84,8 @@ def _check(name: str, passed: bool, margin_sigmas=None) -> dict:
 def _verify_circuit(args):
     if args.trials < 1 or args.n_max < 1:
         raise ValueError("trials and n_max must be >= 1")
+    if not args.tol >= 0:  # NaN too
+        raise ValueError("tol must be >= 0")
     rows = []
     for n in range(1, args.n_max + 1):
         stack = RandomStack(args.seed, n)

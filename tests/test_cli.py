@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plateaulab import game, training
 from plateaulab.cli import (
@@ -86,13 +87,14 @@ def test_identify_small(tmp_path):
     ids=lambda argv: argv[0],
 )
 def test_csv_workers_byte_identical(tmp_path, argv):
+    # twice round, so later calls run on the pool the first parallel call started
     outs = []
-    for workers in ("1", "2", "3"):
-        out = tmp_path / f"w{workers}.csv"
+    for i, workers in enumerate(("1", "2", "3") * 2):
+        out = tmp_path / f"{i}-w{workers}.csv"
         code = main(argv + ["--seed", "9", "--workers", workers, "--out", str(out)])
         assert code in (EXIT_OK, EXIT_BOUND_VIOLATION)
         outs.append(_read(out))
-    assert outs[0] == outs[1] == outs[2]
+    assert outs == outs[:1] * len(outs)
 
 
 def test_train_json_resolves_alpha_and_summarises(tmp_path):
@@ -120,6 +122,8 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["exit-time", "--n", "5", "--trials", "10", "--m-max", "-1"],
         ["verify-circuit", "--trials", "0"],
         ["verify-circuit", "--n-max", "0"],
+        ["verify-circuit", "--tol", "nan"],
+        ["verify-circuit", "--tol", "-1"],
         ["bounds", "--n-max", "0"],
         ["mi", "--n", "0", "--m", "0"],
         ["identify", "--n", "0"],
@@ -291,3 +295,48 @@ def test_bad_seed_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("PLATEAULAB_SEED", "abc")
     assert main(["bounds", "--n-max", "2"]) == EXIT_BAD_CONFIG
     assert "PLATEAULAB_SEED" in capsys.readouterr().err
+
+
+def _floats(lo, hi):
+    return st.one_of(st.floats(lo, hi), st.sampled_from([float("nan"), float("inf"), -1.0, 0.0]))
+
+
+def _opts(**opts):
+    """argv fragment of drawn options; a None value leaves the option out."""
+    # --opt=value: argparse would read a value such as -1e-05 as an option
+    return st.fixed_dictionaries(opts).map(lambda d: [
+        f"--{k.replace('_', '-')}={v}" for k, v in d.items() if v is not None
+    ])
+
+
+_SIZE = st.integers(-1, 2500)  # up to three chunks; below 1 is refused
+_ALGO = st.sampled_from(training.ALGORITHMS)
+_COMMANDS = {
+    "verify-circuit": _opts(n_max=st.integers(-1, 3), trials=st.integers(-1, 20),
+                            tol=_floats(0, 1e-6)),
+    "bounds": _opts(n_max=st.integers(-1, 12)),
+    "game": _opts(n=st.integers(-1, 8), strategy=st.sampled_from(sorted(game.STRATEGIES)),
+                  trials=_SIZE, m_max=st.integers(-1, 20)),
+    "train": _opts(algo=_ALGO, n=st.integers(3, 6), alpha=st.none() | _floats(0, 2.5),
+                   trials=st.integers(0, 300), budget=st.integers(0, 200)),
+    "exit-time": _opts(algo=_ALGO, n=st.integers(-1, 8), trials=_SIZE, m_max=st.integers(-1, 20)),
+    "diverge": _opts(algo=_ALGO, n=st.integers(3, 8), m=st.integers(-1, 8), trials=_SIZE,
+                     eta=_floats(-1, 1)),
+    "mi": _opts(n=st.integers(-1, 4), m=st.integers(-1, 6), transcripts=st.integers(-1, 1500),
+                strategy=st.sampled_from(["uniform", "fixed"]),
+                point=st.none() | st.lists(_floats(-2, 2), min_size=1, max_size=4).map(
+                    lambda xs: ",".join(map(str, xs)))),
+    "identify": _opts(n=st.integers(-1, 5), trials=_SIZE, tol=_floats(-1, 0.5)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_COMMANDS)).flatmap(
+        lambda c: _COMMANDS[c].map(lambda opts: [c, *opts])),
+    _opts(seed=st.integers(-(2**70), 2**70), workers=st.integers(1, 3),
+          format=st.sampled_from(["csv", "json"])),
+)
+def test_random_configs_never_crash(command_argv, common):
+    """Random small configs of every subcommand exit 0, 1 or 2: never 3, never a traceback."""
+    assert main(command_argv + common) in (EXIT_OK, EXIT_BOUND_VIOLATION, EXIT_BAD_CONFIG)
