@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -237,10 +238,22 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=int, default=1, help="worker processes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every token starting with -<digit> or
+    -.<digit> as a value, so --eta -1e-3 works as --eta -0.001 does.
+    argparse's own negative-number test knows only the -1 and -0.5 forms;
+    no option of this command starts with a digit.  Subparsers are built
+    with the parser's class, so they inherit the test."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command's parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plateaulab",
         description="Verification experiments for plateau-landscape query bounds.",
     )

@@ -35,9 +35,13 @@ _S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> _S30)) * _MIX1_U
-    z = (z ^ (z >> _S27)) * _MIX2_U
-    return z ^ (z >> _S31)
+    """The SplitMix64 finaliser, in place on the uint64 array z, which it returns."""
+    z ^= z >> _S30
+    z *= _MIX1_U
+    z ^= z >> _S27
+    z *= _MIX2_U
+    z ^= z >> _S31
+    return z
 
 
 def _splitmix_uniforms(base, start: int, count: int) -> np.ndarray:
@@ -45,9 +49,13 @@ def _splitmix_uniforms(base, start: int, count: int) -> np.ndarray:
     bases are `base`: a uint64 scalar gives shape (count,), a uint64 column
     of S bases gives shape (S, count)."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = _mix64_array(base + idx * _GOLDEN_U)
-    u = (z >> _S11).astype(np.float64) * 2.0**-53
-    return 2.0 * u - 1.0
+    idx *= _GOLDEN_U
+    z = _mix64_array(base + idx)
+    z >>= _S11
+    # 2 * (z * 2**-53) - 1: both power-of-two scalings are exact
+    u = z * 2.0**-52
+    u -= 1.0
+    return u
 
 
 def _as_uint64(values) -> np.ndarray:

@@ -154,7 +154,7 @@ def run_trainer(
 
 
 def _lockstep(
-    algo: str, n: int, m: int, start: int, count: int, seed: int, stop
+    algo: str, n: int, m: int, start: int, count: int, seed: int, stop, level: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run trials [start, start+count) of algo together for up to m queries.
 
@@ -162,7 +162,10 @@ def _lockstep(
     shift from draw 0, the start point (SPSA, parameter-shift), then each
     round's point draws and one answer draw per query.  stop(f, inside, r)
     marks the queries that end a trial from f_a(x), x in P_a and the answer
-    draw r, each of shape (rows, queries); finished trials drop out.
+    draw r, each of shape (rows, queries); finished trials drop out.  f is
+    compared only with r (the answers, the divergence rule) and with values
+    of magnitude >= level, so it is evaluated only as far as those
+    comparisons read it (shifted_product_rows' floor).
     Returns per trial the query that stopped it and its first query outside
     the hidden plateau up to then, 0 for none.
     """
@@ -186,7 +189,7 @@ def _lockstep(
             u, r = np.hsplit(u.reshape(len(rows) * rounds, draws + per_round), [draws])
             r = r.reshape(len(rows), width)
             pts = wrap01_array(points(algo, x, k, u).reshape(len(rows), width, n))
-            fx = shifted_product_rows(pts, trits[:, None, :])
+            fx = shifted_product_rows(pts, trits[:, None, :], np.minimum(np.abs(r), level))
             inside = far_count_array(pts, trits[:, None, :]) > n / 2
             q = np.arange(done + 1, done + width + 1)  # query numbers
             hit = stop(fx, inside, r) & (q <= m)
@@ -213,7 +216,7 @@ def trainer_trials_chunk(
     """(trial, T_A, succeeded, T'_A) rows for trials [start, start+count)."""
     target = 1.0 - alpha  # ShiftedProductFunction.max_value - alpha
     hit, first_exit = _lockstep(
-        algo, n, budget, start, count, seed, lambda fx, inside, r: fx >= target
+        algo, n, budget, start, count, seed, lambda fx, inside, r: fx >= target, abs(target)
     )
     rows = zip(range(start, start + count), hit.tolist(), first_exit.tolist())
     return [(t, h or budget, h > 0, e or None) for t, h, e in rows]
@@ -250,7 +253,7 @@ def divergence_chunk(
     """
     hit, _ = _lockstep(
         algo, n, m, start, count, seed,
-        lambda fx, inside, r: inside & ((r < fx) != (r < eta)),
+        lambda fx, inside, r: inside & ((r < fx) != (r < eta)), np.inf,
     )
     return int(np.count_nonzero(hit))
 
@@ -283,7 +286,9 @@ def exit_time_chunk(
     algo: str, n: int, m_max: int, start: int, count: int, seed: int
 ) -> np.ndarray:
     """First-exit-round histogram (length m_max); censored runs drop out."""
-    hit, _ = _lockstep(algo, n, m_max, start, count, seed, lambda fx, inside, r: ~inside)
+    hit, _ = _lockstep(
+        algo, n, m_max, start, count, seed, lambda fx, inside, r: ~inside, np.inf
+    )
     return np.bincount(hit, minlength=m_max + 1)[1:]
 
 

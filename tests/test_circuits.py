@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plateaulab.circuits import (
     HAMILTONIAN,
@@ -9,6 +11,7 @@ from plateaulab.circuits import (
     ShiftedProductFunction,
     h_eval,
     h_eval_array,
+    shifted_product_rows,
     single_qubit_sim,
     tensor_sim,
 )
@@ -122,3 +125,63 @@ def test_tensor_sim_cap():
     f = ShiftedProductFunction(11, GridShift.zero(11))
     with pytest.raises(ValueError, match="cap"):
         tensor_sim(f, TorusPoint([0.0] * 11))
+
+
+def test_h_eval_array_magnitude_at_most_one():
+    # the premise of shifted_product_rows' floor: no factor grows |f|
+    anchors = np.array([0.0, 1 / 3, -1 / 3, 2 / 3, -2 / 3])
+    t = np.concatenate([anchors, np.nextafter(anchors, 1.0), np.nextafter(anchors, -1.0)])
+    assert np.all(np.abs(h_eval_array(t)) <= 1.0)
+    assert h_eval_array(np.array([0.0]))[0] == 1.0
+
+
+# coordinates on the 1/3-grid make factors of exactly 1.0 (x_j = a_j) or
+# about 0 (x_j - a_j = +-1/3), and so ties of |f| with partial products
+_GRID = [0.0, 1 / 3, 2 / 3, float(np.nextafter(1 / 3, 0.0)), float(np.nextafter(2 / 3, 1.0))]
+_prune_coord = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(_GRID)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 12), rows=st.integers(1, 6), per_row=st.booleans())
+def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
+    points = np.array(
+        data.draw(st.lists(_prune_coord, min_size=n * rows, max_size=n * rows))
+    ).reshape(rows, n)
+    trits = np.array(
+        data.draw(st.lists(st.integers(0, 2), min_size=n * rows, max_size=n * rows))
+    ).reshape(rows, n)
+    if not per_row:
+        trits = trits[0]
+    f = shifted_product_rows(points, trits)
+    # floor=0 is ShiftedProductFunction.__call__, bit for bit
+    shifts = trits if per_row else [trits] * rows
+    want = [ShiftedProductFunction(n, GridShift(tuple(int(t) for t in a)))(TorusPoint(x))
+            for x, a in zip(points, shifts)]
+    assert np.array_equal(f, want)
+    # floors: drawn, tied to |f|, or tied to a partial product |p_j|
+    floors = []
+    for i in range(rows):
+        kind = data.draw(st.sampled_from(["drawn", "f", "partial"]))
+        if kind == "drawn":
+            floors.append(data.draw(st.floats(0.0, 1.0)))
+        elif kind == "f":
+            floors.append(abs(f[i]))
+        else:
+            j = data.draw(st.integers(1, n))
+            a = trits[i] if per_row else trits
+            floors.append(abs(shifted_product_rows(points[i, :j], a[:j])))
+    floors = np.array(floors)
+    v = shifted_product_rows(points, trits, floors)
+    exact = np.abs(f) >= floors
+    assert np.array_equal(v[exact], f[exact])
+    sign = np.where(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), 1.0, -1.0)
+    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
+    for t in (floors, -floors, sign * (floors + w)):
+        assert np.array_equal(v >= t, f >= t)
+        assert np.array_equal(t < v, t < f)
+    # one floor for every row
+    v1 = shifted_product_rows(points, trits, floors[0])
+    keep = np.abs(f) >= floors[0]
+    assert np.array_equal(v1[keep], f[keep])
+    for t in (floors[0], -floors[0]):
+        assert np.array_equal(v1 >= t, f >= t) and np.array_equal(t < v1, t < f)

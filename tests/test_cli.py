@@ -12,6 +12,7 @@ from plateaulab.cli import (
     EXIT_BOUND_VIOLATION,
     EXIT_INTERNAL_ERROR,
     EXIT_OK,
+    build_parser,
     main,
 )
 
@@ -161,6 +162,36 @@ def test_bad_input_names_the_problem(tmp_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+_EXPONENT_FORM = [
+    ("diverge --n 5 --trials 10 --eta -1e-3", -1e-3, None),
+    ("diverge --n 5 --trials 10 --eta -.5e-1", -0.05, None),
+    ("diverge --n 5 --trials 10 --eta -1E+2", -100.0, "eta must lie in [-1, 1]"),
+    ("train --n 5 --trials 5 --alpha -1e-3", -1e-3, "alpha must lie in (0, 2)"),
+    ("train --n 5 --trials 5 --alpha -1E+2", -100.0, "alpha must lie in (0, 2)"),
+    ("train --n 5 --trials 5 --alpha -.5e-1", -0.05, "alpha must lie in (0, 2)"),
+    ("identify --n 2 --trials 10 --tol -1e-3", -1e-3, "tol must be positive"),
+    ("verify-circuit --n-max 1 --trials 2 --tol -1E+2", -100.0, "tol must be >= 0"),
+    ("verify-circuit --n-max 1 --trials 2 --tol -.5e-1", -0.05, "tol must be >= 0"),
+    ("mi --n 1 --m 2 --transcripts 10 --strategy fixed --point -1e-3", "-1e-3", None),
+    ("mi --n 2 --m 2 --transcripts 10 --strategy fixed --point -.5e-1,-1E+2",
+     "-.5e-1,-1E+2", None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, value, message", _EXPONENT_FORM, ids=[case[0] for case in _EXPONENT_FORM]
+)
+def test_negative_values_in_exponent_form(tmp_path, capsys, argv, value, message):
+    # argparse's own matcher reads -1e-3 as an option: "expected one argument"
+    argv = argv.split()
+    assert vars(build_parser().parse_args(argv))[argv[-2].lstrip("-")] == value
+    code = main(argv + ["--out", str(tmp_path / "x")])
+    if message is None:
+        assert code == EXIT_OK
+    else:
+        assert code == EXIT_BAD_CONFIG and message in capsys.readouterr().err
+
+
 def test_internal_error_exits_3(monkeypatch, capsys):
     def crash(n):
         raise RuntimeError("boom")
@@ -302,10 +333,10 @@ def _floats(lo, hi):
 
 
 def _opts(**opts):
-    """argv fragment of drawn options; a None value leaves the option out."""
-    # --opt=value: argparse would read a value such as -1e-05 as an option
+    """argv fragment of drawn options, each as --opt value (so a drawn -1e-05
+    must parse as a value); a None value leaves the option out."""
     return st.fixed_dictionaries(opts).map(lambda d: [
-        f"--{k.replace('_', '-')}={v}" for k, v in d.items() if v is not None
+        tok for k, v in d.items() if v is not None for tok in (f"--{k.replace('_', '-')}", str(v))
     ])
 
 

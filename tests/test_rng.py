@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from plateaulab.rng import RandomStack, stream_bases, uniform_block
+from plateaulab.rng import _GOLDEN, _MASK, RandomStack, _mix64, stream_bases, uniform_block
 
 
 def test_pop_matches_pop_batch():
@@ -73,3 +74,36 @@ def test_uniform_block_rows_equal_stacks(seed, streams, start, k, as_array):
         for _ in range(start):
             stack.pop()
         assert np.array_equal(row, stack.pop_batch(k))
+
+
+def _reference_draws(seed, stream, start, count):
+    """SplitMix64 on Python ints: draw k of a stream is 2 * ((z >> 11) * 2**-53) - 1
+    with z = mix64(base + (k + 1) * golden)."""
+    base = _mix64((seed & _MASK) ^ _mix64((stream & _MASK) ^ _GOLDEN))
+    out = []
+    for k in range(start, start + count):
+        z = _mix64((base + (k + 1) * _GOLDEN) & _MASK)
+        out.append(2.0 * ((z >> 11) * 2.0**-53) - 1.0)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, -3, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**40])
+def test_uniform_block_equals_python_int_reference(seed, start):
+    streams = [0, 1, 7, -3, 2**64 - 1]
+    block = uniform_block(stream_bases(seed, streams), start, 40)
+    for row, s in zip(block, streams):
+        assert row.tolist() == _reference_draws(seed, s, start, 40)
+
+
+def test_uniform_block_literal_draws():
+    # values drawn before the kernel worked in place, kept as literals
+    assert uniform_block(stream_bases(0, [0, 7, -3]), 0, 2).tolist() == [
+        [-0.3238950916089891, -0.46173945754720025],
+        [0.8412506702615938, 0.6019433153339226],
+        [-0.626343247170484, -0.818961295145761],
+    ]
+    assert uniform_block(stream_bases(2**64 - 1, [5]), 2**40, 3).tolist() == [
+        [-0.3756771829993826, 0.08291540146348408, 0.8550815896269763]
+    ]
+    assert RandomStack(-3, 2**64 - 1).pop() == -0.7428132257725457

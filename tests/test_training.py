@@ -167,6 +167,12 @@ def test_batched_random_path_matches_query_loop():
     budget=st.integers(1, 40),
 )
 @example(algo="spsa", n=1, seed=0, start=0, count=60, alpha=0.1, budget=3)  # exits at query 4
+# targets 1 - alpha where shifted_product_rows' floor is min(|r|, |target|):
+# -0.5 and -0.95 (every f >= -1/3 hits), and 0.05 (small and positive)
+@example(algo="pshift", n=6, seed=3, start=0, count=60, alpha=1.5, budget=40)
+@example(algo="spsa", n=8, seed=-7, start=2**40, count=60, alpha=1.95, budget=40)
+@example(algo="random", n=8, seed=11, start=0, count=60, alpha=0.95, budget=40)
+@example(algo="spsa", n=5, seed=11, start=0, count=60, alpha=0.95, budget=40)
 def test_trainer_chunk_equals_run_trainer(algo, n, seed, start, count, alpha, budget):
     # odd budgets cut an SPSA round, and budgets that are not multiples of
     # 2n cut a parameter-shift round
@@ -193,6 +199,9 @@ def test_exit_time_chunk_equals_first_exit_loop(algo, n, seed, start, count, m):
 
 @settings(max_examples=40, deadline=None)
 @given(**_chunk_args, m=st.integers(0, 40), eta=st.floats(-1.0, 1.0))
+@example(algo="spsa", n=8, seed=5, start=0, count=60, m=40, eta=0.0)
+@example(algo="pshift", n=6, seed=-3, start=0, count=60, m=40, eta=1.0)
+@example(algo="random", n=4, seed=9, start=2**40, count=60, m=40, eta=-1.0)
 def test_divergence_chunk_equals_coupled_sample_loop(algo, n, seed, start, count, m, eta):
     want = sum(_diverges(algo, n, m, eta, seed, t) for t in range(start, start + count))
     assert divergence_chunk(algo, n, m, eta, start, count, seed) == want
