@@ -1,9 +1,12 @@
 """Fixed-size trial chunking with an optional process pool.
 
-Chunk boundaries never depend on the worker count and every trial owns
-its own random stream, so merged results are identical for any number of
-workers (floating-point sums included: partials are reduced in chunk
-order).
+run_chunks(fn, args, trials, seed, workers) cuts trials [0, trials) into
+TRIAL_CHUNK-sized chunks, calls fn(*args, start, count, seed) on each and
+adds the chunk results left to right, in chunk order, with `+`: counts and
+histograms sum, row lists concatenate.  Chunk boundaries never depend on
+the worker count and every trial owns its own random stream, so the merged
+result is identical for any number of workers (floating-point sums
+included).
 
 The pool is started once per process, at the first call that fans out,
 and later calls reuse it; it is replaced only when a call needs a
@@ -15,6 +18,8 @@ pool holds no more processes than this process may run on CPUs.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
@@ -25,10 +30,6 @@ TRIAL_CHUNK = 1000
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
 _pool_lock = threading.Lock()  # guards the check-then-create of _pool
-
-
-def chunk_ranges(total: int, chunk: int = TRIAL_CHUNK) -> list[tuple[int, int]]:
-    return [(s, min(chunk, total - s)) for s in range(0, total, chunk)]
 
 
 def pool_size(workers: int, cpus: int) -> int:
@@ -61,15 +62,20 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False)
 
 
-def run_chunks(fn, arg_tuples: list[tuple], workers: int = 1) -> list:
-    """Apply fn to each args tuple, in order; fan out across processes if asked."""
-    size = pool_size(workers, _usable_cpus()) if workers > 1 and len(arg_tuples) > 1 else 1
+def run_chunks(fn, args: tuple, trials: int, seed: int, workers: int = 1):
+    """fn(*args, start, count, seed) on each chunk of [0, trials >= 1),
+    fanned out if asked; the results added left to right in chunk order."""
+    chunks = [(*args, s, min(TRIAL_CHUNK, trials - s), seed)
+              for s in range(0, trials, TRIAL_CHUNK)]
+    size = pool_size(workers, _usable_cpus()) if workers > 1 and len(chunks) > 1 else 1
     if size == 1:
-        return [fn(*args) for args in arg_tuples]
-    pool = _shared_pool(size)
-    try:
-        futures = [pool.submit(fn, *args) for args in arg_tuples]
-        return [f.result() for f in futures]
-    except BrokenProcessPool:
-        _drop_pool(pool)
-        raise
+        results = [fn(*chunk) for chunk in chunks]
+    else:
+        pool = _shared_pool(size)
+        try:
+            futures = [pool.submit(fn, *chunk) for chunk in chunks]
+            results = [f.result() for f in futures]
+        except BrokenProcessPool:
+            _drop_pool(pool)
+            raise
+    return functools.reduce(operator.add, results)

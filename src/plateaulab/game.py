@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._parallel import chunk_ranges, run_chunks
+from ._parallel import run_chunks
 from .rng import RandomStack, index_block, stream_bases, uniform_block
 from .torus import (
     GRID_BASE,
@@ -182,7 +182,7 @@ def play_game(
 
 
 def win_round_counts(
-    n: int, strategy_name: str, start: int, count: int, m_max: int, seed: int
+    n: int, strategy_name: str, m_max: int, start: int, count: int, seed: int
 ) -> np.ndarray:
     """Win-round histogram (length m_max) for trials [start, start+count).
 
@@ -257,8 +257,5 @@ def estimate_win_cdf(
         raise ValueError("games must be >= 1")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    chunks = [
-        (n, strategy_name, s, c, m_max, seed) for s, c in chunk_ranges(games)
-    ]
-    counts = sum(run_chunks(win_round_counts, chunks, workers))
+    counts = run_chunks(win_round_counts, (n, strategy_name, m_max), games, seed, workers)
     return cdf_rows(counts, games, float(p_exact_fraction(n)))

@@ -13,9 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import chunk_ranges, run_chunks
+from ._parallel import run_chunks
 from .circuits import h_eval_array
-from .game import Strategy
 from .oracles import RandomStack, eval_query
 from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
 from .torus import GRID_BASE, GridShift, TorusPoint, wrap01_array
@@ -51,7 +50,7 @@ def candidate_block(points: np.ndarray) -> np.ndarray:
     htab = h_eval_array(wrap01_array(points[:, :, None] - _TRIT_SHIFTS))
     vals = htab[:, 0, :]
     for j in range(1, n):
-        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(rows, -1)
+        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(rows, GRID_BASE**(j + 1))
     return vals
 
 
@@ -151,15 +150,9 @@ def omnipotent_identify(
 
 # --- transcript mutual information ------------------------------------------
 
-def fixed_point_strategy(point: TorusPoint) -> Strategy:
-    def strat(round_idx: int, stack: RandomStack, outcomes: list[int]) -> TorusPoint:
-        return point
-
-    return strat
-
-
-def _fixed_query_point(spec, n: int) -> Optional[TorusPoint]:
-    """The query point of a ("fixed", point) spec; None for "uniform"."""
+def _query_points(spec, n: int, m: int) -> Optional[np.ndarray]:
+    """The (m, n) query points of a ("fixed", point) spec, its point wrapped
+    into [0, 1) at every query; None for "uniform"."""
     if spec == "uniform":
         return None
     if isinstance(spec, tuple) and spec[0] == "fixed":
@@ -168,28 +161,26 @@ def _fixed_query_point(spec, n: int) -> Optional[TorusPoint]:
         point = TorusPoint(spec[1])
         if len(point) != n:
             raise ValueError("fixed point has wrong dimension")
-        return point
+        return np.tile(point.array(), (m, 1))
     raise ValueError(f"unknown strategy spec {spec!r}")
 
 
 def _transcript_entropies_scalar(
-    n: int, strat: Strategy, m: int, start: int, count: int, seed: int
+    n: int, points: Optional[np.ndarray], m: int, start: int, count: int, seed: int
 ) -> np.ndarray:
-    """H(C | transcript) of each trial, one RandomStack and strategy call per
-    trial and query: the path of callable strategies, and the reference the
-    batched path is tested against."""
+    """H(C | transcript) of each trial, one RandomStack and candidate row
+    per trial and query: the reference the batched path is tested against.
+    Query q asks a uniform point, or row q-1 of the (m, n) `points`."""
     out = np.empty(count)
     for i, trial in enumerate(range(start, start + count)):
         stack = RandomStack(seed, trial)
         hidden = stack.pop_index(GRID_BASE**n)
         weights = np.full(GRID_BASE**n, 1.0 / GRID_BASE**n)
-        outcomes: list[int] = []
         for q in range(1, m + 1):
-            x = strat(q, stack, outcomes)
-            vals = candidate_values(n, x)
+            x = (stack.pop_batch(n) + 1.0) / 2.0 if points is None else points[q - 1]
+            vals = candidate_values(n, TorusPoint(x))
             y = 1 if stack.pop() < vals[hidden] else -1
             weights = _bayes_step(weights, y, vals)
-            outcomes.append(y)
         p = weights[weights > 0] / weights.sum()
         out[i] = -np.sum(p * np.log2(p))
     return out
@@ -214,20 +205,22 @@ def _row_entropies(weights: np.ndarray) -> np.ndarray:
 
 
 def _transcript_entropies(
-    n: int, point: Optional[TorusPoint], m: int, start: int, count: int, seed: int
+    n: int, points: Optional[np.ndarray], m: int, start: int, count: int, seed: int
 ) -> np.ndarray:
     """H(C | transcript) of each trial, with one Bayes step per query for all
     trials of a sub-block.
 
     No query point depends on the answers, so trial t's draws are fixed by
     the scalar path on RandomStack(seed, t): draw 0 is the hidden shift.
-    Uniform queries (`point` None) read n point draws and then the outcome,
-    query q from draw 1 + (q-1)(n+1); a fixed `point` reads only the
-    outcome, query q at draw q.
+    Uniform queries (`points` None) read n point draws and then the outcome,
+    query q from draw 1 + (q-1)(n+1); fixed queries, row q-1 of the (m, n)
+    `points`, read only the outcome, query q at draw q.
     """
     size = GRID_BASE**n
     bases = stream_bases(seed, np.arange(start, start + count))
-    vals = None if point is None else candidate_values(n, point)
+    if points is not None:  # one candidate row per distinct point
+        distinct, which = np.unique(points, axis=0, return_inverse=True)
+        table, which = candidate_block(distinct), which.reshape(-1)
     out = np.empty(count)
     step = _block_rows(n)
     for lo in range(0, count, step):
@@ -236,11 +229,12 @@ def _transcript_entropies(
         hidden = index_block(uniform_block(block, 0, 1)[:, 0], size)
         weights = np.full((len(block), size), 1.0 / size)
         for q in range(1, m + 1):
-            if point is None:
+            if points is None:
                 u = uniform_block(block, 1 + (q - 1) * (n + 1), n + 1)
                 vals = candidate_block((u[:, :n] + 1.0) / 2.0)
                 y = np.where(u[:, n] < vals[rows, hidden], 1.0, -1.0)
             else:
+                vals = table[which[q - 1]]
                 y = np.where(uniform_block(block, q, 1)[:, 0] < vals[hidden], 1.0, -1.0)
             weights = _bayes_step(weights, y[:, None], vals)
         out[lo : lo + step] = _row_entropies(weights)
@@ -249,31 +243,22 @@ def _transcript_entropies(
 
 def mi_transcript_chunk(
     n: int, strategy_spec, m: int, start: int, count: int, seed: int
-) -> tuple[float, float, int]:
-    """(sum of conditional entropies, sum of squares, count) over a chunk."""
-    if callable(strategy_spec):
-        hs = _transcript_entropies_scalar(n, strategy_spec, m, start, count, seed)
-    else:
-        point = _fixed_query_point(strategy_spec, n)
-        hs = _transcript_entropies(n, point, m, start, count, seed)
-    sum_h = 0.0
-    sum_h2 = 0.0
+) -> np.ndarray:
+    """[sum of conditional entropies, sum of their squares] over a chunk."""
+    hs = _transcript_entropies(n, _query_points(strategy_spec, n, m), m, start, count, seed)
+    sum_h = sum_h2 = 0.0
     for h in hs.tolist():  # in trial order
         sum_h += h
         sum_h2 += h * h
-    return sum_h, sum_h2, count
+    return np.array([sum_h, sum_h2])
 
 
 def transcript_mi(
-    n: int,
-    strategy_spec,
-    m: int,
-    transcripts: int,
-    seed: int,
-    workers: int = 1,
+    n: int, strategy_spec, m: int, transcripts: int, seed: int, workers: int = 1
 ) -> tuple[float, float]:
     """Estimate I(C : transcript) = H(C) - E[H(C | transcript)] in bits.
 
+    Queries are "uniform" or ("fixed", point), the same point at every query.
     Monte Carlo over (shift, transcript) pairs; the conditional entropy of
     each sampled transcript is computed exactly, so the estimator of
     E[H(C|T)] is unbiased.
@@ -281,34 +266,29 @@ def transcript_mi(
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MI_N_CAP:
-        raise ValueError(f"n={n} exceeds posterior cap {MI_N_CAP}")
+        raise ValueError(
+            f"n={n} exceeds posterior cap {MI_N_CAP}: a posterior row has 3^{n} ="
+            f" {GRID_BASE**n} entries, {8 * GRID_BASE**n / 1e6:.3g} MB"
+        )
     if transcripts < 1:
         raise ValueError("transcripts must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
         return 0.0, 0.0
-    if callable(strategy_spec) and workers > 1:
-        raise ValueError("callable strategies cannot cross process boundaries")
-    chunks = [
-        (n, strategy_spec, m, s, c, seed) for s, c in chunk_ranges(transcripts)
-    ]
-    sum_h = sum_h2 = 0.0
-    total = 0
-    for sh, sh2, cnt in run_chunks(mi_transcript_chunk, chunks, workers):
-        sum_h += sh
-        sum_h2 += sh2
-        total += cnt
-    mean_h = sum_h / total
-    var_h = max(sum_h2 / total - mean_h**2, 0.0)
+    _query_points(strategy_spec, n, m)  # a bad spec fails here, not in a pool worker
+    sums = run_chunks(mi_transcript_chunk, (n, strategy_spec, m), transcripts, seed, workers)
+    sum_h, sum_h2 = sums.tolist()
+    mean_h = sum_h / transcripts
+    var_h = max(sum_h2 / transcripts - mean_h**2, 0.0)
     mi = n * LOG2_3 - mean_h
-    return mi, math.sqrt(var_h / total)
+    return mi, math.sqrt(var_h / transcripts)
 
 
 def identify_chunk(
     n: int, tol: float, start: int, count: int, seed: int
-) -> tuple[int, int, int]:
-    """(unique, unique_and_correct, ambiguous) counts over a chunk of trials.
+) -> np.ndarray:
+    """[unique, unique_and_correct, ambiguous] counts over a chunk of trials.
 
     Trial t reads what omnipotent_identify reads on RandomStack(seed, t):
     the hidden shift from draw 0 and the query point from draws 1..n.  The
@@ -318,7 +298,7 @@ def identify_chunk(
     """
     if not tol > 0:  # NaN too
         raise ValueError("tol must be positive")
-    unique = correct = ambiguous = 0
+    counts = np.zeros(3, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
     step = _block_rows(n)
     for lo in range(0, count, step):
@@ -331,10 +311,8 @@ def identify_chunk(
         if not found.all():
             raise InconsistentOracleError("oracle value matches no family member")
         one = found == 1
-        unique += int(np.count_nonzero(one))
-        correct += int(np.count_nonzero(one & matches[rows, hidden]))
-        ambiguous += int(np.count_nonzero(~one))
-    return unique, correct, ambiguous
+        counts += [np.count_nonzero(x) for x in (one, one & matches[rows, hidden], ~one)]
+    return counts
 
 
 def identification_rates(
@@ -351,12 +329,8 @@ def identification_rates(
         )
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    chunks = [(n, tol, s, c, seed) for s, c in chunk_ranges(trials)]
-    unique = correct = ambiguous = 0
-    for un, co, am in run_chunks(identify_chunk, chunks, workers):
-        unique += un
-        correct += co
-        ambiguous += am
+    counts = run_chunks(identify_chunk, (n, tol), trials, seed, workers)
+    unique, correct, ambiguous = counts.tolist()
     return unique / trials, correct / trials, ambiguous
 
 

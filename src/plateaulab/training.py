@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import chunk_ranges, run_chunks
+from ._parallel import run_chunks
 from .circuits import ShiftedProductFunction, shifted_product_rows
 from .game import CdfRow, PlateauRegion, cdf_rows, delta_bound, p_exact_fraction
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
@@ -236,10 +236,7 @@ def trainer_sweep(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     _check_trainer_args(alpha, budget)
-    chunks = [
-        (algo, n, alpha, budget, s, c, seed) for s, c in chunk_ranges(trials)
-    ]
-    return [row for part in run_chunks(trainer_trials_chunk, chunks, workers) for row in part]
+    return run_chunks(trainer_trials_chunk, (algo, n, alpha, budget), trials, seed, workers)
 
 
 def divergence_chunk(
@@ -276,8 +273,7 @@ def divergence_experiment(
         raise ValueError("eta must lie in [-1, 1]")
     if m == 0:
         return 0.0, 0.0
-    chunks = [(algo, n, m, eta, s, c, seed) for s, c in chunk_ranges(trials)]
-    diverged = sum(run_chunks(divergence_chunk, chunks, workers))
+    diverged = run_chunks(divergence_chunk, (algo, n, m, eta), trials, seed, workers)
     phat = diverged / trials
     return phat, math.sqrt(phat * (1.0 - phat) / trials)
 
@@ -308,6 +304,5 @@ def exit_time_experiment(
         raise ValueError("trials must be >= 1")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    chunks = [(algo, n, m_max, s, c, seed) for s, c in chunk_ranges(trials)]
-    counts = sum(run_chunks(exit_time_chunk, chunks, workers))
+    counts = run_chunks(exit_time_chunk, (algo, n, m_max), trials, seed, workers)
     return cdf_rows(counts, trials, float(p_exact_fraction(n)) + delta_bound(n) / 2.0)

@@ -94,7 +94,7 @@ def test_play_game_antipodal_point_stays_inside():
 
 def test_first_round_win_rate_matches_exact_binomial():
     n, games = 4, 20_000
-    counts = win_round_counts(n, "uniform", 0, games, 1, seed=31)
+    counts = win_round_counts(n, "uniform", 1, 0, games, seed=31)
     rate = counts[0] / games
     p = float(p_exact_fraction(n))
     assert abs(rate - p) <= 3 * math.sqrt(p * (1 - p) / games)
@@ -116,7 +116,7 @@ def test_estimate_win_cdf_refuses_negative_m_max():
         estimate_win_cdf(4, "uniform", 10, -1, seed=0)
 
 
-def _per_trial_win_round_counts(n, strategy_name, start, count, m_max, seed):
+def _per_trial_win_round_counts(n, strategy_name, m_max, start, count, seed):
     """Reference: one RandomStack, hidden-shift draw and play_game per trial."""
     counts = np.zeros(m_max, dtype=np.int64)
     for trial in range(start, start + count):
@@ -138,16 +138,16 @@ def _per_trial_win_round_counts(n, strategy_name, start, count, m_max, seed):
     m_max=st.integers(0, 60),
 )
 def test_win_round_counts_equals_per_trial_games(n, strategy, seed, start, count, m_max):
-    got = win_round_counts(n, strategy, start, count, m_max, seed)
-    want = _per_trial_win_round_counts(n, strategy, start, count, m_max, seed)
+    got = win_round_counts(n, strategy, m_max, start, count, seed)
+    want = _per_trial_win_round_counts(n, strategy, m_max, start, count, seed)
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_win_round_counts_hidden_index_beyond_float_precision():
     # 3**40 > 2**53: the hidden index no longer fits a float exactly
     for strategy in ("uniform", "adaptive"):
-        got = win_round_counts(40, strategy, 5, 40, 20, seed=8)
-        assert np.array_equal(got, _per_trial_win_round_counts(40, strategy, 5, 40, 20, 8))
+        got = win_round_counts(40, strategy, 20, 5, 40, seed=8)
+        assert np.array_equal(got, _per_trial_win_round_counts(40, strategy, 20, 5, 40, 8))
 
 
 def test_estimate_win_cdf_workers_invariance():
@@ -168,4 +168,4 @@ def test_make_strategy_unknown():
     with pytest.raises(ValueError):
         make_strategy("nope", 3)
     with pytest.raises(ValueError, match="unknown strategy"):
-        win_round_counts(3, "nope", 0, 5, 5, seed=0)
+        win_round_counts(3, "nope", 5, 0, 5, seed=0)

@@ -27,7 +27,6 @@ from plateaulab.info import (
     posterior_update,
     transcript_mi,
 )
-from plateaulab.game import uniform_strategy
 from plateaulab.oracles import RandomStack
 from plateaulab.torus import GridShift, TorusPoint, wrap01_array
 
@@ -144,11 +143,10 @@ def test_mi_exact_enumeration_hand_value():
 
 def test_mi_monte_carlo_matches_enumeration_tiny_cases():
     for pts in ([TorusPoint([0.2])], [TorusPoint([0.1]), TorusPoint([0.4])]):
-        # simulate with the fixed sequence via a callable strategy
-        def strat(round_idx, stack, outcomes, _pts=pts):
-            return _pts[round_idx - 1]
-
-        mi_mc, se = transcript_mi(1, strat, len(pts), 40_000, seed=8)
+        # the batched kernel, asking the fixed sequence
+        points = np.array([x.array() for x in pts])
+        hs = info._transcript_entropies(1, points, len(pts), 0, 40_000, 8)
+        mi_mc, se = LOG2_3 - hs.mean(), hs.std() / math.sqrt(len(hs))
         mi_ex = mi_exact_enumeration(1, pts)
         assert abs(mi_mc - mi_ex) <= 4 * max(se, 1e-6)
 
@@ -165,8 +163,17 @@ def test_mi_information_range():
 
 
 def test_mi_caps():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"posterior cap 8: .* 3\^9 = 19683 entries, 0.157 MB"):
         transcript_mi(9, "uniform", 1, 10, seed=0)
+
+
+def test_mi_refuses_a_callable_strategy():
+    def strat(round_idx, stack, outcomes):
+        return TorusPoint([0.2])
+
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="unknown strategy spec"):
+            transcript_mi(1, strat, 2, 2500, seed=0, workers=workers)
 
 
 def test_mi_workers_invariance():
@@ -216,6 +223,7 @@ def test_candidate_block_equals_product_gather(data, n, rows):
     got = candidate_block(points)
     assert got.shape == (rows, 3**n)
     assert np.array_equal(got, _gathered_candidate_values(points))
+    assert candidate_block(points[:0]).shape == (0, 3**n)
     assert np.array_equal(candidate_values(n, TorusPoint(points[0])), got[0])
 
 
@@ -273,7 +281,7 @@ def _per_trial_identify_counts(n, tol, start, count, seed):
             correct += res.shift == hidden
         else:
             ambiguous += 1
-    return unique, correct, ambiguous
+    return [unique, correct, ambiguous]
 
 
 def _or_inconsistent(fn, *args):
@@ -305,7 +313,7 @@ def test_omnipotent_identify_at_the_smallest_tol():
     count=st.integers(0, 80),
 )
 def test_identify_chunk_equals_per_trial_identification(n, tol, seed, start, count):
-    got = _or_inconsistent(identify_chunk, n, tol, start, count, seed)
+    got = _or_inconsistent(lambda *a: identify_chunk(*a).tolist(), n, tol, start, count, seed)
     assert got == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
 
 
@@ -314,22 +322,25 @@ def test_identify_chunk_equals_per_trial_identification(n, tol, seed, start, cou
     data=st.data(),
     n=st.integers(1, 8),
     m=st.integers(0, 10),
-    fixed=st.booleans(),
+    queries=st.sampled_from(["uniform", "fixed", "distinct"]),
     seed=_seed,
     start=st.integers(0, 10**6),
     count=st.integers(0, 30),
 )
-def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, fixed, seed, start, count):
-    spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if fixed else "uniform"
-    point = info._fixed_query_point(spec, n)
-    strat = uniform_strategy(n) if point is None else info.fixed_point_strategy(point)
-    got = info._transcript_entropies(n, point, m, start, count, seed)
-    want = info._transcript_entropies_scalar(n, strat, m, start, count, seed)
+def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, queries, seed, start, count):
+    # the CLI's point at every query, or m drawn points, one per query
+    spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if queries == "fixed" else "uniform"
+    points = info._query_points(spec, n, m)
+    if queries == "distinct":
+        points = data.draw(_points(n, m))
+    got = info._transcript_entropies(n, points, m, start, count, seed)
+    want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
     # the same float operations in the same order: equal to the bit
     assert got.shape == (count,) and np.array_equal(got, want)
-    h = want.tolist()
-    sums = (reduce(add, h, 0.0), reduce(add, [v * v for v in h], 0.0), count)
-    assert mi_transcript_chunk(n, spec, m, start, count, seed) == sums
+    if queries != "distinct":
+        h = want.tolist()
+        sums = [reduce(add, h, 0.0), reduce(add, [v * v for v in h], 0.0)]
+        assert mi_transcript_chunk(n, spec, m, start, count, seed).tolist() == sums
 
 
 def test_mi_chunk_rejects_bad_specs():

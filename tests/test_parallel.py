@@ -3,13 +3,15 @@ import signal
 import subprocess
 import sys
 import time
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plateaulab import _parallel
-from plateaulab._parallel import pool_size, run_chunks
+from plateaulab._parallel import TRIAL_CHUNK, pool_size, run_chunks
 from plateaulab.cli import EXIT_INTERNAL_ERROR, EXIT_OK, main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -19,13 +21,23 @@ needs_two_cpus = pytest.mark.skipif(
 )
 
 
-def _pid_after(seconds):
+def _pid_after(seconds, start, count, seed):
     time.sleep(seconds)  # long enough for every worker to take a chunk
-    return os.getpid()
+    return [os.getpid()]
 
 
 def _worker_pids(workers=2):
-    return set(run_chunks(_pid_after, [(0.1,)] * 6, workers))
+    return set(run_chunks(_pid_after, (0.1,), 6 * TRIAL_CHUNK, 0, workers))
+
+
+def _chunk(tag, start, count, seed):
+    return [(tag, start, count, seed)]
+
+
+def _partial(start, count, seed):
+    # chunks 1 and 2 cancel and round away the low bits of the sum before
+    # them, so a sum in another order mostly differs
+    return {1: 1e16, 2: -1e16}.get(start // TRIAL_CHUNK, 1.0 + count / 3 + seed / 10)
 
 
 @given(st.integers(-3, 70), st.integers(1, 64))
@@ -35,9 +47,23 @@ def test_pool_size_never_exceeds_cpus(workers, cpus):
     assert size == (min(workers, cpus) if workers >= 1 else 1)
 
 
+@settings(max_examples=40, deadline=None)
+@given(trials=st.integers(1, 3500), workers=st.sampled_from([1, 2]), seed=st.integers(-5, 5))
+def test_run_chunks_covers_trials_in_chunk_order(trials, workers, seed):
+    chunks = run_chunks(_chunk, ("t",), trials, seed, workers)
+    assert all(tag == "t" and s == seed for tag, _, _, s in chunks)
+    # consecutive fixed-size chunks from 0, the last one possibly shorter
+    ends = [start + count for _, start, count, _ in chunks]
+    assert [start for _, start, _, _ in chunks] == [0] + ends[:-1] and ends[-1] == trials
+    assert all(count == TRIAL_CHUNK for _, _, count, _ in chunks[:-1])
+    assert 0 < chunks[-1][2] <= TRIAL_CHUNK
+    partials = [_partial(*c[1:]) for c in chunks]
+    assert run_chunks(_partial, (), trials, seed, workers) == reduce(add, partials)
+
+
 def test_one_chunk_or_one_worker_runs_in_process():
-    assert run_chunks(os.getpid, [()], 2) == [os.getpid()]
-    assert run_chunks(os.getpid, [(), ()], 1) == [os.getpid()] * 2
+    assert run_chunks(_pid_after, (0,), TRIAL_CHUNK, 0, 2) == [os.getpid()]
+    assert run_chunks(_pid_after, (0,), TRIAL_CHUNK + 1, 0, 1) == [os.getpid()] * 2
 
 
 @needs_two_cpus
