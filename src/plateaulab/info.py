@@ -17,11 +17,11 @@ from ._parallel import run_chunks
 from .circuits import h_eval_array
 from .oracles import RandomStack, eval_query
 from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
-from .torus import GRID_BASE, GridShift, TorusPoint, wrap01_array
+from .torus import GRID_BASE, GridShift, TorusPoint, index_trits, wrap01_array
 
 LOG2_3 = math.log2(3)
 
-MI_N_CAP = 8  # 3**n posteriors must fit comfortably
+MI_N_CAP = 8  # bounds time, not memory: a 3**n-entry Bayes step per transcript and query
 IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~32 3**n bytes: 51 MB at 13
 _TRIT_SHIFTS = np.arange(GRID_BASE) / GRID_BASE  # t/3 for each trit t
 
@@ -45,12 +45,15 @@ def candidate_block(points: np.ndarray) -> np.ndarray:
     ShiftedProductFunction.__call__, so for points in [0, 1) each value
     equals f_a(TorusPoint(x)) to the bit.
     """
-    rows, n = points.shape
     # h(wrap01(x_j - t/3)) for each row, coordinate j and trit t
-    htab = h_eval_array(wrap01_array(points[:, :, None] - _TRIT_SHIFTS))
+    return _tensor_product(h_eval_array(wrap01_array(points[:, :, None] - _TRIT_SHIFTS)))
+
+
+def _tensor_product(htab: np.ndarray) -> np.ndarray:
+    """candidate_block's products from its (rows, n, 3) h-factor table; at n = 1 a view of it."""
     vals = htab[:, 0, :]
-    for j in range(1, n):
-        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(rows, GRID_BASE**(j + 1))
+    for j in range(1, htab.shape[1]):
+        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(len(htab), GRID_BASE**(j + 1))
     return vals
 
 
@@ -191,7 +194,7 @@ def _row_entropies(weights: np.ndarray) -> np.ndarray:
 
     Rows are grouped by their number of positive entries, so that each
     row's sum runs over the same compacted terms, in the same order, as
-    the entropy of that row alone.
+    the entropy of that row alone; a row with no zero needs no compaction.
     """
     p = weights / weights.sum(axis=1, keepdims=True)
     positive = weights > 0
@@ -199,7 +202,7 @@ def _row_entropies(weights: np.ndarray) -> np.ndarray:
     out = np.empty(len(weights))
     for size in set(sizes.tolist()):
         rows = sizes == size
-        q = p[rows][positive[rows]].reshape(-1, size)
+        q = p[rows] if size == p.shape[1] else p[rows][positive[rows]].reshape(-1, size)
         out[rows] = -np.sum(q * np.log2(q), axis=1)
     return out
 
@@ -207,8 +210,8 @@ def _row_entropies(weights: np.ndarray) -> np.ndarray:
 def _transcript_entropies(
     n: int, points: Optional[np.ndarray], m: int, start: int, count: int, seed: int
 ) -> np.ndarray:
-    """H(C | transcript) of each trial, with one Bayes step per query for all
-    trials of a sub-block.
+    """H(C | transcript) of each trial, with one in-place Bayes step per query
+    for all trials of a sub-block.
 
     No query point depends on the answers, so trial t's draws are fixed by
     the scalar path on RandomStack(seed, t): draw 0 is the hidden shift.
@@ -225,18 +228,27 @@ def _transcript_entropies(
     step = _block_rows(n)
     for lo in range(0, count, step):
         block = bases[lo : lo + step]
-        rows = np.arange(len(block))
         hidden = index_block(uniform_block(block, 0, 1)[:, 0], size)
         weights = np.full((len(block), size), 1.0 / size)
-        for q in range(1, m + 1):
+        group = max(1, BLOCK_BYTES // (8 * GRID_BASE * n * len(block)))  # queries per h-table
+        for q0 in range(0, m, group):
+            k = min(group, m - q0)
             if points is None:
-                u = uniform_block(block, 1 + (q - 1) * (n + 1), n + 1)
-                vals = candidate_block((u[:, :n] + 1.0) / 2.0)
-                y = np.where(u[:, n] < vals[rows, hidden], 1.0, -1.0)
+                u = uniform_block(block, 1 + q0 * (n + 1), k * (n + 1)).reshape(-1, k, n + 1)
+                htab = h_eval_array(wrap01_array((u[..., :n, None] + 1.0) / 2.0 - _TRIT_SHIFTS))
+                # the hidden shift's value: its h factors multiplied in coordinate order
+                f = np.take_along_axis(htab, index_trits(hidden, n)[:, None, :, None], 3)[..., 0]
+                y = np.where(u[..., n] < math.prod(f[..., j] for j in range(n)), 1.0, -1.0)
+                htab[..., n - 1, :] *= y[..., None]  # y = +-1: products times y, to the bit
             else:
-                vals = table[which[q - 1]]
-                y = np.where(uniform_block(block, q, 1)[:, 0] < vals[hidden], 1.0, -1.0)
-            weights = _bayes_step(weights, y[:, None], vals)
+                f = table[which[q0 : q0 + k], hidden[:, None]]
+                y = np.where(uniform_block(block, 1 + q0, k) < f, 1.0, -1.0)
+            for q in range(k):
+                vals = (_tensor_product(htab[:, q]) if points is None
+                        else y[:, q, None] * table[which[q0 + q]])
+                vals += 1.0  # the float operations of _bayes_step, in place
+                weights *= vals
+                weights /= 2.0
         out[lo : lo + step] = _row_entropies(weights)
     return out
 
@@ -267,8 +279,8 @@ def transcript_mi(
         raise ValueError("n must be >= 1")
     if n > MI_N_CAP:
         raise ValueError(
-            f"n={n} exceeds posterior cap {MI_N_CAP}: a posterior row has 3^{n} ="
-            f" {GRID_BASE**n} entries, {8 * GRID_BASE**n / 1e6:.3g} MB"
+            f"n={n} exceeds posterior cap {MI_N_CAP}: every query of every transcript"
+            f" is a Bayes step over all 3^{n} = {GRID_BASE**n} shifts"
         )
     if transcripts < 1:
         raise ValueError("transcripts must be >= 1")

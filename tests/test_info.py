@@ -163,7 +163,8 @@ def test_mi_information_range():
 
 
 def test_mi_caps():
-    with pytest.raises(ValueError, match=r"posterior cap 8: .* 3\^9 = 19683 entries, 0.157 MB"):
+    match = r"posterior cap 8: .* Bayes step over all 3\^9 = 19683 shifts"
+    with pytest.raises(ValueError, match=match):
         transcript_mi(9, "uniform", 1, 10, seed=0)
 
 
@@ -341,6 +342,65 @@ def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, queries, see
         h = want.tolist()
         sums = [reduce(add, h, 0.0), reduce(add, [v * v for v in h], 0.0)]
         assert mi_transcript_chunk(n, spec, m, start, count, seed).tolist() == sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 4),
+    rows=st.integers(1, 3),
+    m=st.integers(0, 10),
+    queries=st.sampled_from(["uniform", "fixed", "distinct"]),
+    tol=st.sampled_from([1e-12, 1e-9, 0.05]),
+    seed=_seed,
+    start=st.integers(0, 10**6),
+    count=st.integers(0, 12),
+)
+def test_small_sub_blocks_equal_per_trial_loops(data, n, rows, m, queries, tol, seed, start, count):
+    # BLOCK_BYTES of `rows` posterior rows: a new sub-block every 1-3 trials,
+    # and each sub-block's queries split into groups of 1-6 (3**(n-1) // n)
+    spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if queries == "fixed" else "uniform"
+    points = data.draw(_points(n, m)) if queries == "distinct" else info._query_points(spec, n, m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(info, "BLOCK_BYTES", rows * 8 * 3**n)
+        assert info._block_rows(n) == rows
+        got = info._transcript_entropies(n, points, m, start, count, seed)
+        counts = _or_inconsistent(lambda *a: identify_chunk(*a).tolist(), n, tol, start, count, seed)
+    want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
+    assert got.shape == (count,) and np.array_equal(got, want)
+    assert counts == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
+
+
+@st.composite
+def _weight_rows(draw):
+    """Rows of unnormalised weights, at least one of each kind: all positive,
+    holding zeros, and a single positive entry."""
+    size = draw(st.integers(2, 12))
+    kinds = draw(st.lists(st.sampled_from(["positive", "zeros", "single"]), max_size=6))
+    out = []
+    for kind in draw(st.permutations(["positive", "zeros", "single"] + kinds)):
+        row = draw(st.lists(st.one_of(st.floats(1e-150, 1.0), st.sampled_from([1 / 3, 0.5])),
+                            min_size=size, max_size=size))
+        if kind == "zeros":  # at least one zero and one positive entry
+            zeros = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
+            row = [0.0 if j in zeros else w for j, w in enumerate(row)]
+        elif kind == "single":
+            keep = draw(st.integers(0, size - 1))
+            row = [w if j == keep else 0.0 for j, w in enumerate(row)]
+        out.append(row)
+    return np.array(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weights=_weight_rows())
+def test_row_entropies_equal_per_row_entropy(weights):
+    def entropy(w):
+        p = w / w.sum()
+        p = p[p > 0]
+        return -np.sum(p * np.log2(p))
+
+    want = [entropy(w) for w in weights]
+    assert info._row_entropies(weights).tolist() == want
 
 
 def test_mi_chunk_rejects_bad_specs():
