@@ -63,8 +63,10 @@ def _drop_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def run_chunks(fn, args: tuple, trials: int, seed: int, workers: int = 1):
-    """fn(*args, start, count, seed) on each chunk of [0, trials >= 1),
-    fanned out if asked; the results added left to right in chunk order."""
+    """fn(*args, start, count, seed) on each chunk of [0, trials), fanned
+    out if asked; the results added left to right in chunk order."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     chunks = [(*args, s, min(TRIAL_CHUNK, trials - s), seed)
               for s in range(0, trials, TRIAL_CHUNK)]
     size = pool_size(workers, _usable_cpus()) if workers > 1 and len(chunks) > 1 else 1

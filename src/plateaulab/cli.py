@@ -228,7 +228,8 @@ def _default_seed() -> int:
         raise ValueError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, func) -> None:
+    """The options every subcommand shares, after its own, and its experiment."""
     p.add_argument(
         "--seed", type=int, default=None,
         help=f"master seed (default ${SEED_ENV_VAR}, then {DEFAULT_SEED})",
@@ -236,6 +237,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=1, help="worker processes")
+    p.set_defaults(func=func)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,21 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(func=_verify_circuit)
+    _add_common(p, _verify_circuit)
 
     p = sub.add_parser("bounds", help="delta, exact p and Hoeffding p per n")
     p.add_argument("--n-max", type=int, default=12)
-    _add_common(p)
-    p.set_defaults(func=_bounds)
+    _add_common(p, _bounds)
 
     p = sub.add_parser("game", help="plateau-game win-round CDF vs linear bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--strategy", choices=sorted(game.STRATEGIES), default="uniform")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--m-max", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=_game)
+    _add_common(p, _game)
 
     p = sub.add_parser("train", help="run trainers against the sample oracle")
     p.add_argument("--algo", choices=training.ALGORITHMS, default="random")
@@ -285,16 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--budget", type=int, default=100000)
-    _add_common(p)
-    p.set_defaults(func=_train)
+    _add_common(p, _train)
 
     p = sub.add_parser("exit-time", help="first-exit CDF vs combined bound")
     p.add_argument("--algo", choices=training.ALGORITHMS, default="random")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--m-max", type=int, default=50)
-    _add_common(p)
-    p.set_defaults(func=_exit_time)
+    _add_common(p, _exit_time)
 
     p = sub.add_parser("diverge", help="coupled-run divergence rate vs bound")
     p.add_argument("--algo", choices=training.ALGORITHMS, default="random")
@@ -302,8 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=10)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--eta", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=_diverge)
+    _add_common(p, _diverge)
 
     p = sub.add_parser("mi", help="mutual information of sample transcripts")
     p.add_argument("--n", type=int, required=True)
@@ -311,15 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcripts", type=int, default=10000)
     p.add_argument("--strategy", choices=("uniform", "fixed"), default="uniform")
     p.add_argument("--point", default=None, help="comma-separated fixed query point")
-    _add_common(p)
-    p.set_defaults(func=_mi)
+    _add_common(p, _mi)
 
     p = sub.add_parser("identify", help="one-shot identification from an evaluation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--tol", type=float, default=1e-9)
-    _add_common(p)
-    p.set_defaults(func=_identify)
+    _add_common(p, _identify)
 
     return parser
 

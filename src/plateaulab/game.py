@@ -103,57 +103,43 @@ def bounds(n: int) -> BoundsRow:
 
 # --- strategies -------------------------------------------------------------
 
-def uniform_strategy(n: int) -> Strategy:
-    def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
-        u = stack.pop_batch(n)
-        return TorusPoint((u + 1.0) / 2.0)
-
-    return strat
+STRATEGIES = ("uniform", "grid", "adaptive")
 
 
-def grid_sweep_strategy(n: int) -> Strategy:
-    total = GRID_BASE**n
-
-    def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
-        return GridShift.from_index(n, (round_idx - 1) % total).to_point()
-
-    return strat
+def point_draws(name: str, n: int, r: int) -> int:
+    """Uniforms round r >= 1 of strategy `name` reads: n every round for
+    "uniform", n every n-th round (r = 1, n+1, ...) for "adaptive", else 0."""
+    return n if name == "uniform" or (name == "adaptive" and (r - 1) % n == 0) else 0
 
 
-def adaptive_strategy(n: int) -> Strategy:
-    """Heuristic that reacts to answers: after a "yes" (still inside the
-    plateau), nudge one coordinate of the previous query by a grid step;
-    after enough failures, restart uniformly."""
-    state: dict = {"last": None}
-
-    def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
-        last = state["last"]
-        if last is None or not answers or (round_idx - 1) % n == 0:
-            u = stack.pop_batch(n)
-            x = TorusPoint((u + 1.0) / 2.0)
-        else:
-            j = (round_idx - 1) % n
-            coords = list(last.coords)
-            coords[j] += 1.0 / GRID_BASE
-            x = TorusPoint(coords)
-        state["last"] = x
-        return x
-
-    return strat
-
-
-STRATEGIES: dict[str, Callable[[int], Strategy]] = {
-    "uniform": uniform_strategy,
-    "grid": grid_sweep_strategy,
-    "adaptive": adaptive_strategy,
-}
+def round_points(name: str, n: int, r: int, x, u) -> np.ndarray:
+    """Query points of round r: one (n,) point for every row ("grid"), or
+    (rows, n) points from the round's (rows, point_draws) uniforms u, or
+    else the previous round's (rows, n) points x with coordinate (r-1) % n
+    moved one grid step, in place ("adaptive", as TorusPoint wraps)."""
+    if name == "grid":
+        return GridShift.from_index(n, (r - 1) % GRID_BASE**n).to_point().array()
+    if u is not None:
+        return (u + 1.0) / 2.0
+    j = (r - 1) % n
+    x[:, j] = wrap01_array(x[:, j] + 1.0 / GRID_BASE)
+    return x
 
 
 def make_strategy(name: str, n: int) -> Strategy:
-    try:
-        return STRATEGIES[name](n)
-    except KeyError:
-        raise ValueError(f"unknown strategy {name!r}") from None
+    """Strategy `name` for one game: its rounds on one row, the reference
+    win_round_counts is tested against."""
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    x = None
+
+    def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
+        nonlocal x
+        k = point_draws(name, n, round_idx)
+        x = round_points(name, n, round_idx, x, stack.pop_batch(k)[None, :] if k else None)
+        return TorusPoint(x.reshape(n))
+
+    return strat
 
 
 # --- game simulation --------------------------------------------------------
@@ -188,29 +174,22 @@ def win_round_counts(
 
     Alice answers "yes" until Bob wins, so no strategy's queries depend on
     the answers and all live trials play round r together.  Trial t draws
-    what play_game on RandomStack(seed, t) draws: the hidden shift from
-    draw 0, then n-point queries from draw 1 on (every round for
-    "uniform", every n-th round for "adaptive", which otherwise moves
-    coordinate (r-1) % n of its last query by one grid step).
+    what play_game with make_strategy on RandomStack(seed, t) draws: the
+    hidden shift from draw 0, then each round's point draws from draw 1 on.
     """
     if strategy_name not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy_name!r}")
     counts = np.zeros(m_max, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
     trits = index_trits(index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n), n)
-    drawn = 0
+    drawn = 1
     x = None
     for r in range(1, m_max + 1):
         if not len(bases):
             break
-        if strategy_name == "grid":
-            x = GridShift.from_index(n, (r - 1) % GRID_BASE**n).to_point().array()
-        elif strategy_name == "uniform" or (r - 1) % n == 0:
-            x = (uniform_block(bases, 1 + drawn, n) + 1.0) / 2.0
-            drawn += n
-        else:
-            j = (r - 1) % n
-            x[:, j] = wrap01_array(x[:, j] + 1.0 / GRID_BASE)  # as TorusPoint wraps
+        k = point_draws(strategy_name, n, r)
+        x = round_points(strategy_name, n, r, x, uniform_block(bases, drawn, k) if k else None)
+        drawn += k
         won = far_count_array(x, trits) <= n / 2
         counts[r - 1] = np.count_nonzero(won)
         bases, trits = bases[~won], trits[~won]
@@ -253,8 +232,6 @@ def estimate_win_cdf(
     """Empirical CDF of the win round, with the linear first-round bound."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if games < 1:
-        raise ValueError("games must be >= 1")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     counts = run_chunks(win_round_counts, (n, strategy_name, m_max), games, seed, workers)

@@ -88,22 +88,22 @@ class Posterior:
         return float(-np.sum(p * np.log2(p)))
 
 
-def _bayes_step(weights: np.ndarray, outcome, vals: np.ndarray) -> np.ndarray:
-    """Unnormalised Bayes step with likelihood (1 + outcome * f_a(x)) / 2;
-    rows of weights, outcomes and values broadcast.  The float operations
-    are those of weights * (1.0 + outcome * vals) / 2.0, in one new array."""
-    out = outcome * vals
-    out += 1.0
-    out *= weights
-    out /= 2.0
-    return out
+def _bayes_step(weights: np.ndarray, yvals: np.ndarray) -> None:
+    """Unnormalised Bayes step on weights, in place, with likelihood
+    (1 + y f_a(x)) / 2 from yvals = y * f_a(x), which it overwrites; rows
+    broadcast.  The float operations are those of
+    weights * (1.0 + yvals) / 2.0."""
+    yvals += 1.0
+    weights *= yvals
+    weights /= 2.0
 
 
 def posterior_update(prior: Posterior, x: TorusPoint, outcome: int) -> Posterior:
     """Bayes step with likelihood (1 + outcome * f_a(x)) / 2."""
     if outcome not in (-1, 1):
         raise ValueError("outcome must be +1 or -1")
-    weights = _bayes_step(prior.probs, outcome, candidate_values(prior.n, x))
+    weights = prior.probs.copy()
+    _bayes_step(weights, outcome * candidate_values(prior.n, x))
     total = weights.sum()
     if total <= 0.0:
         raise InconsistentOracleError("transcript has zero likelihood under every shift")
@@ -183,7 +183,7 @@ def _transcript_entropies_scalar(
             x = (stack.pop_batch(n) + 1.0) / 2.0 if points is None else points[q - 1]
             vals = candidate_values(n, TorusPoint(x))
             y = 1 if stack.pop() < vals[hidden] else -1
-            weights = _bayes_step(weights, y, vals)
+            _bayes_step(weights, y * vals)
         p = weights[weights > 0] / weights.sum()
         out[i] = -np.sum(p * np.log2(p))
     return out
@@ -244,11 +244,8 @@ def _transcript_entropies(
                 f = table[which[q0 : q0 + k], hidden[:, None]]
                 y = np.where(uniform_block(block, 1 + q0, k) < f, 1.0, -1.0)
             for q in range(k):
-                vals = (_tensor_product(htab[:, q]) if points is None
-                        else y[:, q, None] * table[which[q0 + q]])
-                vals += 1.0  # the float operations of _bayes_step, in place
-                weights *= vals
-                weights /= 2.0
+                _bayes_step(weights, _tensor_product(htab[:, q]) if points is None
+                            else y[:, q, None] * table[which[q0 + q]])
         out[lo : lo + step] = _row_entropies(weights)
     return out
 
@@ -339,8 +336,6 @@ def identification_rates(
             f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: a candidate row needs"
             f" about {32 * GRID_BASE**n / 1e9:.3g} GB"
         )
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     counts = run_chunks(identify_chunk, (n, tol), trials, seed, workers)
     unique, correct, ambiguous = counts.tolist()
     return unique / trials, correct / trials, ambiguous
@@ -366,7 +361,7 @@ def mi_exact_enumeration(n: int, points: list[TorusPoint]) -> float:
         lik = np.ones((len(masks), size))
         for i in range(m):
             y = np.where((masks >> i) & 1, 1.0, -1.0)
-            lik = _bayes_step(lik, y[:, None], vals[i])
+            _bayes_step(lik, y[:, None] * vals[i])
         p_seq = prior * lik.sum(axis=1)
         seen = p_seq > 0.0
         h_cond = _row_entropies(lik[seen])

@@ -233,8 +233,6 @@ def trainer_sweep(
 ) -> list[tuple[int, int, bool, Optional[int]]]:
     if n < 1:
         raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     _check_trainer_args(alpha, budget)
     return run_chunks(trainer_trials_chunk, (algo, n, alpha, budget), trials, seed, workers)
 
@@ -267,12 +265,10 @@ def divergence_experiment(
     """Empirical probability that coupled runs diverge within m queries."""
     if n < 4:
         raise ValueError("need n >= 4 so that delta < 1/2")
-    if m < 0 or trials < 1:
-        raise ValueError("m must be >= 0 and trials >= 1")
+    if m < 0:
+        raise ValueError("m must be >= 0")
     if not -1.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [-1, 1]")
-    if m == 0:
-        return 0.0, 0.0
     diverged = run_chunks(divergence_chunk, (algo, n, m, eta), trials, seed, workers)
     phat = diverged / trials
     return phat, math.sqrt(phat * (1.0 - phat) / trials)
@@ -300,8 +296,6 @@ def exit_time_experiment(
     against the combined bound (p_exact + delta/2) * m."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     counts = run_chunks(exit_time_chunk, (algo, n, m_max), trials, seed, workers)

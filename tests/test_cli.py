@@ -154,6 +154,12 @@ def test_bad_sizes_exit_2(tmp_path, argv):
         (["exit-time", "--n", "0"], "n must be >= 1"),
         (["diverge", "--n", "5", "--m", "0", "--eta", "5"], "eta must lie in [-1, 1]"),
         (["game", "--n", "3", "--trials", "5", "--workers", "-3"], "--workers must be >= 1"),
+        # run_chunks' own check, for every front end that has no other
+        (["game", "--n", "3", "--trials", "0"], "trials must be >= 1"),
+        (["train", "--n", "5", "--trials", "0"], "trials must be >= 1"),
+        (["exit-time", "--n", "3", "--trials", "0"], "trials must be >= 1"),
+        (["diverge", "--n", "5", "--trials", "0"], "trials must be >= 1"),
+        (["identify", "--n", "2", "--trials", "0"], "trials must be >= 1"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )

@@ -164,6 +164,57 @@ def test_strategy_dimension_check():
         play_game(3, GridShift.zero(3), bad, 5, RandomStack(0))
 
 
+class _ScriptedStack:
+    """Hands out fixed uniform batches in order and records each request."""
+
+    def __init__(self, *batches):
+        self.batches = [np.array(b, dtype=float) for b in batches]
+        self.requests = []
+
+    def pop_batch(self, k):
+        self.requests.append(k)
+        return self.batches.pop(0)
+
+
+def _coords(strat, rounds, stack):
+    return [strat(r, stack, []).coords for r in range(1, rounds + 1)]
+
+
+def test_uniform_strategy_maps_consecutive_pops():
+    stack, ref = RandomStack(7), RandomStack(7)
+    got = _coords(make_strategy("uniform", 3), 3, stack)
+    want = [tuple((ref.pop() + 1.0) / 2.0 for _ in range(3)) for _ in range(3)]
+    assert got == want
+    assert stack.draw_index == 9
+
+
+def test_grid_strategy_sweeps_indices_and_wraps():
+    stack = _ScriptedStack()
+    got = _coords(make_strategy("grid", 2), 11, stack)
+    # index (r-1) % 9, coordinate 0 the least significant trit
+    trits = [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2),
+             (0, 0), (1, 0)]
+    assert got == [tuple(t / 3 for t in ts) for ts in trits]
+    assert stack.requests == []
+
+
+def test_adaptive_strategy_draws_every_nth_round_and_nudges_between():
+    stack = _ScriptedStack([-0.5, 0.5, 0.0], [0.2, -0.9, 0.6], [0.0, 0.0, 0.0])
+    got = _coords(make_strategy("adaptive", 3), 7, stack)
+    want = [
+        (0.25, 0.75, 0.5),  # round 1: (u + 1) / 2
+        (0.25, 0.75 + 1 / 3 - 1, 0.5),  # round 2: coordinate 1 wraps past 1
+        (0.25, 0.75 + 1 / 3 - 1, 0.5 + 1 / 3),  # round 3: coordinate 2
+        (0.6, 0.05, 0.8),  # round 4: fresh draws
+        (0.6, 0.05 + 1 / 3, 0.8),
+        (0.6, 0.05 + 1 / 3, 0.8 + 1 / 3 - 1),
+        (0.5, 0.5, 0.5),  # round 7: fresh draws
+    ]
+    assert stack.requests == [3, 3, 3]
+    for g, w in zip(got, want, strict=True):
+        assert g == pytest.approx(w, abs=1e-12)
+
+
 def test_make_strategy_unknown():
     with pytest.raises(ValueError):
         make_strategy("nope", 3)

@@ -34,6 +34,12 @@ def _chunk(tag, start, count, seed):
     return [(tag, start, count, seed)]
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_run_chunks_refuses_no_trials(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_chunks(_partial, (), trials, 0)
+
+
 def _partial(start, count, seed):
     # chunks 1 and 2 cancel and round away the low bits of the sum before
     # them, so a sum in another order mostly differs

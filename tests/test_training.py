@@ -224,6 +224,12 @@ def test_divergence_experiment_trivial_and_bounded():
     assert phat <= delta * 10 / 2 + 3 * stderr
 
 
+@pytest.mark.parametrize("algo", ["random", "spsa", "pshift"])
+def test_divergence_at_zero_queries_is_zero(algo):
+    # no m = 0 shortcut: the lockstep run asks no query, so none diverges
+    assert divergence_experiment(algo, 6, 0, 2500, 0.3, seed=1) == (0.0, 0.0)
+
+
 def test_divergence_workers_invariance():
     a = divergence_experiment("random", 8, 5, 2500, 0.0, seed=4, workers=1)
     b = divergence_experiment("random", 8, 5, 2500, 0.0, seed=4, workers=2)
