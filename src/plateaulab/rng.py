@@ -4,7 +4,8 @@ Draw k is a pure function of (seed, stream, k), so trials can run on any
 number of workers, in any chunking, and still reproduce byte-for-byte.
 The generator is SplitMix64 over a counter: fast, vectorizable, and good
 enough statistically for Monte Carlo at desk scale.  `uniform_block` draws
-the same values for many streams at once, one row per stream.
+the same values for many streams at once, one row per stream, and
+`uniforms_at` any set of (stream, draw) cells.
 """
 from __future__ import annotations
 
@@ -44,11 +45,9 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix_uniforms(base, start: int, count: int) -> np.ndarray:
-    """Draws start..start+count-1 on [-1, +1) of the streams whose SplitMix64
-    bases are `base`: a uint64 scalar gives shape (count,), a uint64 column
-    of S bases gives shape (S, count)."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+def _splitmix_uniforms(base, idx: np.ndarray) -> np.ndarray:
+    """Draws idx - 1 on [-1, +1) of the streams whose SplitMix64 bases are
+    `base`, broadcast against the uint64 array idx (scaled in place)."""
     idx *= _GOLDEN_U
     z = _mix64_array(base + idx)
     z >>= _S11
@@ -56,6 +55,13 @@ def _splitmix_uniforms(base, start: int, count: int) -> np.ndarray:
     u = z * 2.0**-52
     u -= 1.0
     return u
+
+
+def uniforms_at(bases, draws) -> np.ndarray:
+    """Element i is draw draws[i] of the stream with base bases[i].  The index
+    is a uint64 array first, as products of numpy scalars would warn."""
+    idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
+    return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64), idx)
 
 
 def _as_uint64(values) -> np.ndarray:
@@ -74,7 +80,8 @@ def stream_bases(seed: int, streams) -> np.ndarray:
 def uniform_block(bases: np.ndarray, start: int, count: int) -> np.ndarray:
     """(len(bases), count) block: row i holds draws start..start+count-1 of the
     stream with base bases[i], the values `count` pops of that stream return."""
-    return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64)[:, None], start, count)
+    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64)[:, None], idx)
 
 
 def index_block(u: np.ndarray, size: int) -> np.ndarray:
@@ -102,7 +109,8 @@ class RandomStack:
         self._buf_start = 0
 
     def _uniforms(self, start: int, count: int) -> np.ndarray:
-        return _splitmix_uniforms(np.uint64(self._base), start, count)
+        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+        return _splitmix_uniforms(np.uint64(self._base), idx)
 
     def pop(self) -> float:
         """Pop one uniform from [-1, +1)."""

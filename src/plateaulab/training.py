@@ -21,11 +21,11 @@ from typing import Optional
 import numpy as np
 
 from ._parallel import run_chunks
-from .circuits import ShiftedProductFunction, shifted_product_rows
+from .circuits import ShiftedProductFunction, h_eval_array, shifted_product_rows
 from .game import CdfRow, PlateauRegion, cdf_rows, delta_bound, p_exact_fraction
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
-from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block, uniforms_at
 from .torus import GRID_BASE, GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
 
 ALGORITHMS = ("random", "spsa", "pshift")
@@ -153,44 +153,87 @@ def run_trainer(
         x = update(algo, x, k, u, np.array([answers]))
 
 
+def _random_cells(n, bases, trits, done, width, level, exits, answers):
+    """f, inside and r of random search's queries done+1..done+width, each
+    (rows, width), coordinate-major over the cells: coordinate j of a cell
+    is drawn only while its f is undecided (|p| >= floor) or its row is in
+    `exits`, the rows whose inside is read (elsewhere inside means nothing).
+    The float operations are points', shifted_product_rows' and
+    far_count_array's, so each value read is theirs to the bit."""
+    cell = np.repeat(np.arange(len(bases)), width)  # row of each cell
+    first = 1 + (n + 1) * np.tile(np.arange(done, done + width), len(bases))  # draw of x_0
+    base = bases[cell]
+    r = uniforms_at(base, first + n) if answers else None
+    x = (uniforms_at(base, first) + 1.0) / 2.0  # in [0, 1): points' wrap is a no-op
+    far = far_count_array(x[:, None], trits[cell, :1])
+    fx, live = None, np.arange(0)  # live: the cells whose f is undecided
+    if level is not None:
+        fx, live = h_eval_array(wrap01_array(x - trits[cell, 0] / 3.0)), np.arange(len(cell))
+        floor = level if r is None else np.minimum(np.abs(r), level)
+    every, is_need = exits.all(), exits[cell]
+    need = slice(None) if every else np.flatnonzero(is_need)
+    for j in range(1, n):
+        if len(live):
+            live = live[np.abs(fx[live]) >= (floor if r is None else floor[live])]
+        drawn = need if every else live
+        if not every and len(need):  # the cells in live or need, in order
+            drawn = np.flatnonzero(np.bincount(live, minlength=len(cell)) + is_need)
+        xj = (uniforms_at(base[drawn], first[drawn] + j) + 1.0) / 2.0
+        if drawn is not live:
+            x[drawn] = xj
+            xj = x[live]
+            far[need] += far_count_array(x[need, None], trits[cell[need], j, None])
+        if len(live):
+            fx[live] *= h_eval_array(wrap01_array(xj - trits[cell[live], j] / 3.0))
+    return [None if v is None else v.reshape(len(bases), width) for v in (fx, far > n / 2, r)]
+
+
 def _lockstep(
-    algo: str, n: int, m: int, start: int, count: int, seed: int, stop, level: float
+    algo: str, n: int, m: int, start: int, count: int, seed: int, stop,
+    level: Optional[float], every_inside: bool = True, answers: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run trials [start, start+count) of algo together for up to m queries.
 
     Trial t draws what run_trainer on RandomStack(seed, t) draws: the hidden
     shift from draw 0, the start point (SPSA, parameter-shift), then each
     round's point draws and one answer draw per query.  stop(f, inside, r)
-    marks the queries that end a trial from f_a(x), x in P_a and the answer
-    draw r, each of shape (rows, queries); finished trials drop out.  f is
-    compared only with r (the answers, the divergence rule) and with values
-    of magnitude >= level, so it is evaluated only as far as those
-    comparisons read it (shifted_product_rows' floor).
-    Returns per trial the query that stopped it and its first query outside
-    the hidden plateau up to then, 0 for none.
+    marks the queries that end a trial, each (rows, queries); finished
+    trials drop out.  The caller declares what stop reads: f only against r
+    and values of magnitude >= level (None: not at all), inside at every
+    query or only until a trial's first exit, r only if `answers`.  SPSA and
+    parameter-shift read all three in their update, so each of their steps
+    is one round; random search has none, so it draws only what stop reads
+    (_random_cells).  Returns per trial the query that stopped it and its
+    first query outside the hidden plateau up to then, 0 for none.
     """
     draws, per_round = _round_shape(algo, n)
     stopped = np.zeros(count, dtype=np.int64)
     first_exit = np.zeros(count, dtype=np.int64)
-    block = max(1, BLOCK_BYTES // (8 * per_round * n))  # rows x queries per step
+    # rows per sub-block, and random search's (trial, query) cells per step: a
+    # cell keeps about ten float64 values live at a step's peak, so BLOCK_BYTES
+    # // 16 cells peak no higher than whole-point steps do
+    block = max(1, BLOCK_BYTES // (16 if algo == "random" else 8 * per_round * n))
     for s in range(0, count, block):
         rows = np.arange(s, min(s + block, count))
         bases = stream_bases(seed, start + rows)
         trits = index_trits(index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n), n)
         x = None if algo == "random" else (uniform_block(bases, 1, n) + 1.0) / 2.0
-        drawn = 1 if x is None else 1 + n
         k = 1
         done = 0
         while len(rows) and done < m:
-            # random search has no iterate, so one step can hold many rounds
-            rounds = min(block // len(rows), m - done) if x is None else 1
-            width = rounds * per_round
-            u = uniform_block(bases, drawn, rounds * (draws + per_round))
-            u, r = np.hsplit(u.reshape(len(rows) * rounds, draws + per_round), [draws])
-            r = r.reshape(len(rows), width)
-            pts = wrap01_array(points(algo, x, k, u).reshape(len(rows), width, n))
-            fx = shifted_product_rows(pts, trits[:, None, :], np.minimum(np.abs(r), level))
-            inside = far_count_array(pts, trits[:, None, :]) > n / 2
+            if x is None:  # as many queries as the step holds, at most done + 1 of
+                # them, so a trial stopped at query q costs at most 2q cells
+                width = min(block // len(rows), m - done, done + 1)
+                exits = (first_exit[rows] == 0) | every_inside
+                fx, inside, r = _random_cells(n, bases, trits, done, width, level, exits, answers)
+            else:
+                width = per_round
+                u = uniform_block(bases, 1 + n + (k - 1) * (draws + per_round), draws + per_round)
+                u, r = np.hsplit(u, [draws])
+                pts = wrap01_array(points(algo, x, k, u))
+                floor = np.minimum(np.abs(r), np.inf if level is None else level)
+                fx = shifted_product_rows(pts, trits[:, None, :], floor)
+                inside = far_count_array(pts, trits[:, None, :]) > n / 2
             q = np.arange(done + 1, done + width + 1)  # query numbers
             hit = stop(fx, inside, r) & (q <= m)
             fin = hit.any(axis=1)
@@ -202,9 +245,8 @@ def _lockstep(
             if x is not None:
                 x = update(algo, x, k, u, np.where(r < fx, 1, -1))[~fin]
             rows, bases, trits = rows[~fin], bases[~fin], trits[~fin]
-            drawn += rounds * (draws + per_round)
             done += width
-            k += rounds
+            k += 1
     return stopped, first_exit
 
 
@@ -216,7 +258,8 @@ def trainer_trials_chunk(
     """(trial, T_A, succeeded, T'_A) rows for trials [start, start+count)."""
     target = 1.0 - alpha  # ShiftedProductFunction.max_value - alpha
     hit, first_exit = _lockstep(
-        algo, n, budget, start, count, seed, lambda fx, inside, r: fx >= target, abs(target)
+        algo, n, budget, start, count, seed, lambda fx, inside, r: fx >= target, abs(target),
+        every_inside=False, answers=False,
     )
     rows = zip(range(start, start + count), hit.tolist(), first_exit.tolist())
     return [(t, h or budget, h > 0, e or None) for t, h, e in rows]
@@ -279,7 +322,7 @@ def exit_time_chunk(
 ) -> np.ndarray:
     """First-exit-round histogram (length m_max); censored runs drop out."""
     hit, _ = _lockstep(
-        algo, n, m_max, start, count, seed, lambda fx, inside, r: ~inside, np.inf
+        algo, n, m_max, start, count, seed, lambda fx, inside, r: ~inside, None, answers=False
     )
     return np.bincount(hit, minlength=m_max + 1)[1:]
 

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from plateaulab.rng import _GOLDEN, _MASK, RandomStack, _mix64, stream_bases, uniform_block
+from plateaulab.rng import (
+    _GOLDEN,
+    _MASK,
+    RandomStack,
+    _mix64,
+    stream_bases,
+    uniform_block,
+    uniforms_at,
+)
 
 
 def test_pop_matches_pop_batch():
@@ -107,3 +115,37 @@ def test_uniform_block_literal_draws():
         [-0.3756771829993826, 0.08291540146348408, 0.8550815896269763]
     ]
     assert RandomStack(-3, 2**64 - 1).pop() == -0.7428132257725457
+
+
+_draw = st.one_of(st.integers(0, 2000), st.integers(2**40 - 50, 2**40 + 50))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(-(2**65), 2**65),
+    cells=st.lists(st.tuples(st.integers(-(2**64), 2**65), _draw), min_size=1, max_size=12),
+    as_int64=st.booleans(),
+)
+@example(seed=2**64 - 1, cells=[(-1, 0), (-(2**63), 2**40), (2**64 - 1, 0)], as_int64=True)
+@example(seed=-5, cells=[(0, 0), (-7, 2**40 - 1), (3, 1)], as_int64=False)
+def test_uniforms_at_equals_block_columns_and_pops(seed, cells, as_int64):
+    # arbitrary (stream, draw) cells, repeats and any order included
+    streams, draws = zip(*cells)
+    bases = stream_bases(seed, list(streams))
+    index = np.array(draws, dtype=np.int64 if as_int64 else np.uint64)
+    got = uniforms_at(bases, index)
+    assert got.shape == (len(cells),)
+    for u, b, s, k in zip(got.tolist(), bases, streams, draws):
+        assert u == uniform_block(np.array([b]), k, 1)[0, 0]
+        if k < 2000:  # the scalar stack, popped up to draw k
+            stack = RandomStack(seed, s)
+            stack.pop_batch(k)
+            assert u == stack.pop()
+
+
+def test_uniforms_at_on_one_cell_is_an_array():
+    # a scalar base and draw still go through uint64 arrays: no overflow warning
+    base = stream_bases(2**64 - 1, [-1])[0]
+    got = uniforms_at(base, 2**40)
+    assert got.shape == (1,)
+    assert got[0] == uniform_block(np.array([base]), 2**40, 1)[0, 0]

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from plateaulab import training
 from plateaulab.circuits import ShiftedProductFunction
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import RandomStack, clamp_to_plateau, coupled_sample, sample_query
-from plateaulab.torus import GridShift, TorusPoint
+from plateaulab.torus import GridShift, TorusPoint, wrap01_array
 from plateaulab.training import (
     PSHIFT_SHIFT,
     PSHIFT_STEP,
@@ -20,6 +21,7 @@ from plateaulab.training import (
     divergence_experiment,
     exit_time_chunk,
     exit_time_experiment,
+    points,
     run_trainer,
     trainer_sweep,
     trainer_trials_chunk,
@@ -255,3 +257,92 @@ def test_trainer_sweep_rows_in_trial_order():
     assert [r[0] for r in rows] == list(range(50))
     rows2 = trainer_sweep("random", 4, 0.9, 200, 50, seed=2, workers=2)
     assert rows == rows2
+
+
+def test_random_points_need_no_wrap():
+    # the coordinate-major random step skips points' wrap01_array: draws are
+    # multiples of 2**-52 in [-1, 1), so (u + 1) / 2 is exact and in [0, 1)
+    edges = np.array([-1.0, -1.0 + 2.0**-52, 1.0 - 2.0**-52])
+    u = np.concatenate([edges, RandomStack(5, 3).pop_batch(20_001)]).reshape(-1, 4)
+    x = points("random", None, 1, u)
+    assert x.min() >= 0.0 and x.max() < 1.0
+    assert wrap01_array(x).tobytes() == x.tobytes()
+    assert x[0, 0, :3].tolist() == [0.0, 2.0**-53, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    experiment=st.sampled_from(["train", "exit", "diverge"]),
+    n=st.integers(1, 8),
+    seed=st.integers(-(2**65), 2**65),
+    start=st.integers(0, 2**40),
+    count=st.integers(1, 12),
+    m=st.integers(1, 150),
+    alpha=st.floats(0.05, 1.95),
+    eta=st.floats(-1.0, 1.0),
+    cells=st.integers(1, 40),
+)
+@example(experiment="train", n=1, seed=3, start=0, count=12, m=150, alpha=0.4, eta=0.0, cells=7)
+@example(experiment="train", n=5, seed=8, start=9, count=12, m=150, alpha=1.0, eta=0.0, cells=5)
+@example(experiment="train", n=6, seed=2, start=0, count=12, m=150, alpha=1.6, eta=0.0, cells=9)
+@example(experiment="exit", n=1, seed=4, start=0, count=12, m=150, alpha=0.5, eta=0.0, cells=3)
+@example(experiment="diverge", n=4, seed=1, start=0, count=12, m=150, alpha=0.5, eta=0.9, cells=4)
+@example(experiment="diverge", n=1, seed=6, start=5, count=12, m=150, alpha=0.5, eta=-1.0, cells=1)
+def test_random_search_across_many_small_steps(
+    experiment, n, seed, start, count, m, alpha, eta, cells
+):
+    # steps of 1-40 cells: each trial spans many steps, trials finish
+    # mid-step, and train steps run where every trial already has its first
+    # exit.  alpha >= 1 makes target <= 0, where a cut-short cell still hits.
+    ts = range(start, start + count)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "BLOCK_BYTES", 16 * cells)
+        if experiment == "train":
+            got = trainer_trials_chunk("random", n, alpha, m, start, count, seed)
+        elif experiment == "exit":
+            got = exit_time_chunk("random", n, m, start, count, seed).tolist()
+        else:
+            got = divergence_chunk("random", n, m, eta, start, count, seed)
+    if experiment == "train":
+        want = []
+        for t in ts:
+            f, stack = _trial(n, seed, t)
+            res = run_trainer("random", f, alpha, m, stack)
+            want.append((t, res.queries_total, res.succeeded, res.first_exit))
+    elif experiment == "exit":
+        exits = [_first_exit("random", n, m, seed, t) for t in ts]
+        want = [exits.count(q) for q in range(1, m + 1)]
+    else:
+        want = sum(_diverges("random", n, m, eta, seed, t) for t in ts)
+    assert got == want
+
+
+@pytest.mark.parametrize(("n", "alpha"), [(1, 1e-5), (4, 0.05), (7, 0.6)])
+def test_random_search_with_budgets_in_the_thousands(n, alpha):
+    # three trials run hundreds to thousands of queries through 64-cell
+    # steps; some succeed mid-step, some spend the budget
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "BLOCK_BYTES", 16 * 64)
+        rows = trainer_trials_chunk("random", n, alpha, 3000, 40, 3, 17)
+    for trial, queries, succeeded, first_exit in rows:
+        f, stack = _trial(n, 17, trial)
+        res = run_trainer("random", f, alpha, 3000, stack)
+        assert (queries, succeeded, first_exit) == (res.queries_total, res.succeeded, res.first_exit)
+    assert max(r[1] for r in rows) > 1000
+
+
+def test_random_exit_time_evaluates_no_f():
+    # exit-time reads only inside: neither h nor the product may run
+    def refuse(*args, **kwargs):
+        raise AssertionError("exit-time evaluated f")
+
+    want = np.zeros(30, dtype=np.int64)
+    for t in range(500):
+        q = _first_exit("random", 6, 30, 4, t)
+        if q is not None:
+            want[q - 1] += 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "h_eval_array", refuse)
+        patch.setattr(training, "shifted_product_rows", refuse)
+        got = exit_time_chunk("random", 6, 30, 0, 500, 4)
+    assert np.array_equal(got, want)
