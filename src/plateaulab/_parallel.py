@@ -1,12 +1,12 @@
-"""Fixed-size trial chunking with an optional process pool.
+"""Trial chunking with an optional process pool.
 
 run_chunks(fn, args, trials, seed, workers) cuts trials [0, trials) into
-TRIAL_CHUNK-sized chunks, calls fn(*args, start, count, seed) on each and
-adds the chunk results left to right, in chunk order, with `+`: counts and
-histograms sum, row lists concatenate.  Chunk boundaries never depend on
-the worker count and every trial owns its own random stream, so the merged
-result is identical for any number of workers (floating-point sums
-included).
+chunks of min(TRIAL_CHUNK, ceil(trials / pool_size)) trials and adds
+fn(*args, start, count, seed)'s new result for each, in chunk order, with
+`+=` into the first.  Boundaries depend on the pool size, so results must
+merge exactly: counts and histograms sum, row and per-trial value lists
+concatenate (floats are summed after the merge).  Each trial owns its
+random stream, so the result is identical for any number of workers.
 
 The pool is started once per process, at the first call that fans out,
 and later calls reuse it; it is replaced only when a call needs a
@@ -67,10 +67,10 @@ def run_chunks(fn, args: tuple, trials: int, seed: int, workers: int = 1):
     out if asked; the results added left to right in chunk order."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    chunks = [(*args, s, min(TRIAL_CHUNK, trials - s), seed)
-              for s in range(0, trials, TRIAL_CHUNK)]
-    size = pool_size(workers, _usable_cpus()) if workers > 1 and len(chunks) > 1 else 1
-    if size == 1:
+    size = pool_size(workers, _usable_cpus()) if workers > 1 else 1
+    step = min(TRIAL_CHUNK, -(-trials // size))
+    chunks = [(*args, s, min(step, trials - s), seed) for s in range(0, trials, step)]
+    if size == 1 or len(chunks) == 1:
         results = [fn(*chunk) for chunk in chunks]
     else:
         pool = _shared_pool(size)
@@ -80,4 +80,4 @@ def run_chunks(fn, args: tuple, trials: int, seed: int, workers: int = 1):
         except BrokenProcessPool:
             _drop_pool(pool)
             raise
-    return functools.reduce(operator.add, results)
+    return functools.reduce(operator.iadd, results)  # into the first result: lists grow linearly

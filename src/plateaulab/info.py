@@ -252,14 +252,10 @@ def _transcript_entropies(
 
 def mi_transcript_chunk(
     n: int, strategy_spec, m: int, start: int, count: int, seed: int
-) -> np.ndarray:
-    """[sum of conditional entropies, sum of their squares] over a chunk."""
-    hs = _transcript_entropies(n, _query_points(strategy_spec, n, m), m, start, count, seed)
-    sum_h = sum_h2 = 0.0
-    for h in hs.tolist():  # in trial order
-        sum_h += h
-        sum_h2 += h * h
-    return np.array([sum_h, sum_h2])
+) -> list[float]:
+    """The conditional entropy of each trial of a chunk, in trial order."""
+    points = _query_points(strategy_spec, n, m)
+    return _transcript_entropies(n, points, m, start, count, seed).tolist()
 
 
 def transcript_mi(
@@ -286,8 +282,10 @@ def transcript_mi(
     if m == 0:
         return 0.0, 0.0
     _query_points(strategy_spec, n, m)  # a bad spec fails here, not in a pool worker
-    sums = run_chunks(mi_transcript_chunk, (n, strategy_spec, m), transcripts, seed, workers)
-    sum_h, sum_h2 = sums.tolist()
+    sum_h = sum_h2 = 0.0
+    for h in run_chunks(mi_transcript_chunk, (n, strategy_spec, m), transcripts, seed, workers):
+        sum_h += h  # one pass, in trial order
+        sum_h2 += h * h
     mean_h = sum_h / transcripts
     var_h = max(sum_h2 / transcripts - mean_h**2, 0.0)
     mi = n * LOG2_3 - mean_h

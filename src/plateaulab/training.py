@@ -84,11 +84,10 @@ def update(algo: str, x, k: int, u: np.ndarray, y: np.ndarray):
         ck = SPSA_C / k**SPSA_GAMMA_EXP
         ak = SPSA_A / (k + SPSA_STABILITY) ** SPSA_ALPHA_EXP
         ghat = (y[:, :1] - y[:, 1:]) / (2.0 * ck) * np.where(u < 0.0, -1.0, 1.0)
-        return np.mod(x + ak * ghat, 1.0)  # ascent: maximizing
-    if algo == "pshift":
-        grad = (y[:, 0::2] - y[:, 1::2]) / 2.0
-        return np.mod(x + PSHIFT_STEP * grad, 1.0)
-    return x
+        x = x + ak * ghat  # ascent: maximizing
+    elif algo == "pshift":
+        x = x + PSHIFT_STEP * ((y[:, 0::2] - y[:, 1::2]) / 2.0)
+    return x if x is None else x - np.floor(x)  # np.mod(x, 1.0) to the bit, and faster
 
 
 def default_alpha(n: int) -> float:
@@ -165,13 +164,14 @@ def _random_cells(n, bases, trits, done, width, level, exits, answers):
     base = bases[cell]
     r = uniforms_at(base, first + n) if answers else None
     x = (uniforms_at(base, first) + 1.0) / 2.0  # in [0, 1): points' wrap is a no-op
-    far = far_count_array(x[:, None], trits[cell, :1])
     fx, live = None, np.arange(0)  # live: the cells whose f is undecided
     if level is not None:
         fx, live = h_eval_array(wrap01_array(x - trits[cell, 0] / 3.0)), np.arange(len(cell))
         floor = level if r is None else np.minimum(np.abs(r), level)
     every, is_need = exits.all(), exits[cell]
     need = slice(None) if every else np.flatnonzero(is_need)
+    far = np.zeros(len(cell), dtype=np.int64)  # far counts, kept only at need cells
+    far[need] = far_count_array(x[need, None], trits[cell[need], :1])
     for j in range(1, n):
         if len(live):
             live = live[np.abs(fx[live]) >= (floor if r is None else floor[live])]

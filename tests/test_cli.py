@@ -75,6 +75,15 @@ def test_identify_small(tmp_path):
     assert row.split(",")[3] == "1"
 
 
+_SWEEPS = [
+    (["train", "--n", "4", "--budget", "50"], "--trials"),
+    (["exit-time", "--n", "6", "--m-max", "10"], "--trials"),
+    (["diverge", "--n", "6", "--m", "4"], "--trials"),
+    (["mi", "--n", "1", "--m", "3"], "--transcripts"),
+    (["identify", "--n", "2"], "--trials"),
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -84,6 +93,9 @@ def test_identify_small(tmp_path):
         ["diverge", "--n", "6", "--m", "4", "--trials", "1500"],
         ["mi", "--n", "1", "--m", "3", "--transcripts", "1500"],
         ["identify", "--n", "2", "--trials", "1500"],
+        # counts whose chunks depend on the pool size
+        *[pytest.param([*argv, flag, str(count)], id=f"{argv[0]}-{count}")
+          for argv, flag in _SWEEPS for count in (1, 2, 100, 999, 1001)],
     ],
     ids=lambda argv: argv[0],
 )

@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import subprocess
@@ -8,7 +9,7 @@ from operator import add
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plateaulab import _parallel
 from plateaulab._parallel import TRIAL_CHUNK, pool_size, run_chunks
@@ -54,22 +55,44 @@ def test_pool_size_never_exceeds_cpus(workers, cpus):
 
 
 @settings(max_examples=40, deadline=None)
-@given(trials=st.integers(1, 3500), workers=st.sampled_from([1, 2]), seed=st.integers(-5, 5))
-def test_run_chunks_covers_trials_in_chunk_order(trials, workers, seed):
-    chunks = run_chunks(_chunk, ("t",), trials, seed, workers)
+@given(
+    trials=st.integers(1, 3500),
+    workers=st.integers(1, 3),
+    cpus=st.integers(1, 3),
+    seed=st.integers(-5, 5),
+)
+@example(trials=100, workers=2, cpus=2, seed=0)
+@example(trials=1001, workers=3, cpus=3, seed=1)
+@example(trials=2500, workers=2, cpus=2, seed=-1)
+def test_run_chunks_covers_trials_in_chunk_order(trials, workers, cpus, seed):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+        chunks = run_chunks(_chunk, ("t",), trials, seed, workers)
+        total = run_chunks(_partial, (), trials, seed, workers)
     assert all(tag == "t" and s == seed for tag, _, _, s in chunks)
-    # consecutive fixed-size chunks from 0, the last one possibly shorter
+    # consecutive chunks from 0 of one size, the last one possibly shorter:
+    # one chunk per pool process, but never more than TRIAL_CHUNK trials
     ends = [start + count for _, start, count, _ in chunks]
     assert [start for _, start, _, _ in chunks] == [0] + ends[:-1] and ends[-1] == trials
-    assert all(count == TRIAL_CHUNK for _, _, count, _ in chunks[:-1])
-    assert 0 < chunks[-1][2] <= TRIAL_CHUNK
-    partials = [_partial(*c[1:]) for c in chunks]
-    assert run_chunks(_partial, (), trials, seed, workers) == reduce(add, partials)
+    step = min(TRIAL_CHUNK, math.ceil(trials / min(workers, cpus)))
+    assert all(count == step for _, _, count, _ in chunks[:-1])
+    assert 0 < chunks[-1][2] <= step
+    assert total == reduce(add, [_partial(*c[1:]) for c in chunks])
 
 
 def test_one_chunk_or_one_worker_runs_in_process():
-    assert run_chunks(_pid_after, (0,), TRIAL_CHUNK, 0, 2) == [os.getpid()]
+    assert run_chunks(_pid_after, (0,), 1, 0, 2) == [os.getpid()]
     assert run_chunks(_pid_after, (0,), TRIAL_CHUNK + 1, 0, 1) == [os.getpid()] * 2
+    with pytest.MonkeyPatch.context() as patch:  # a pool of one process is no pool
+        patch.setattr(_parallel, "_usable_cpus", lambda: 1)
+        assert run_chunks(_pid_after, (0,), 2 * TRIAL_CHUNK + 1, 0, 2) == [os.getpid()] * 3
+
+
+@needs_two_cpus
+def test_sweep_of_one_fixed_chunk_runs_on_two_processes():
+    # 100 trials fit in one TRIAL_CHUNK, yet at --workers 2 they run as 2 x 50
+    pids = run_chunks(_pid_after, (0.2,), 100, 0, 2)
+    assert len(pids) == 2 and len(set(pids)) == 2 and os.getpid() not in pids
 
 
 @needs_two_cpus

@@ -259,6 +259,19 @@ def test_trainer_sweep_rows_in_trial_order():
     assert rows == rows2
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+@example([0.0, -0.0, 5e-324, -5e-324, 1e-17, -1e-17, 1.0 - 2.0**-53, -(1.0 - 2.0**-53)])
+@example([-1.0, -3.0, 1e6, -1e6 - 0.5, 2.0**52 + 1.0, -(2.0**60), 1.7e308, -1.7e308])
+def test_update_wraps_as_np_mod_to_the_bit(x):
+    # equal answers make a zero step, so update returns its wrap of x + 0.0,
+    # which must be np.mod(x, 1.0) bit for bit on every finite float
+    x = np.array([x])
+    n = x.shape[1]
+    for algo, queries in (("spsa", 2), ("pshift", 2 * n)):
+        got = training.update(algo, x, 1, np.ones((1, n)), np.ones((1, queries)))
+        assert got.tobytes() == np.mod(x, 1.0).tobytes()
+
+
 def test_random_points_need_no_wrap():
     # the coordinate-major random step skips points' wrap01_array: draws are
     # multiples of 2**-52 in [-1, 1), so (u + 1) / 2 is exact and in [0, 1)
