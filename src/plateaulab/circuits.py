@@ -108,7 +108,7 @@ def single_qubit_sim(x: float) -> float:
     return float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
 
 
-def tensor_sim(f: ShiftedProductFunction, x: TorusPoint, cap: int = TENSOR_SIM_CAP) -> float:
+def tensor_sim(f: ShiftedProductFunction, x: TorusPoint) -> float:
     """Full 2**n statevector evaluation of f at x; cross-checks eval_array.
 
     Applies each shifted one-qubit unitary by strided 2x2 multiplication
@@ -117,8 +117,8 @@ def tensor_sim(f: ShiftedProductFunction, x: TorusPoint, cap: int = TENSOR_SIM_C
     n = f.n
     if len(x) != n:
         raise ValueError(f"dimension mismatch: expected {n}, got {len(x)}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds statevector cap {cap} (2**n amplitudes)")
+    if n > TENSOR_SIM_CAP:
+        raise ValueError(f"n={n} exceeds statevector cap {TENSOR_SIM_CAP} (2**n amplitudes)")
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for j in range(n):

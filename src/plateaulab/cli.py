@@ -87,6 +87,9 @@ def _verify_circuit(args):
         raise ValueError("trials and n_max must be >= 1")
     if not args.tol >= 0:  # NaN too
         raise ValueError("tol must be >= 0")
+    if args.n_max > circuits.TENSOR_SIM_CAP:  # before any trial, not at n = cap + 1
+        raise ValueError(f"n_max={args.n_max} exceeds statevector cap {circuits.TENSOR_SIM_CAP}"
+                         f": a statevector of 2^{args.n_max} amplitudes")
     rows = []
     for n in range(1, args.n_max + 1):
         stack = RandomStack(args.seed, n)

@@ -230,9 +230,8 @@ def estimate_win_cdf(
     workers: int = 1,
 ) -> list[CdfRow]:
     """Empirical CDF of the win round, with the linear first-round bound."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    rate = float(p_exact_fraction(n))  # refuses n < 1
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     counts = run_chunks(win_round_counts, (n, strategy_name, m_max), games, seed, workers)
-    return cdf_rows(counts, games, float(p_exact_fraction(n)))
+    return cdf_rows(counts, games, rate)

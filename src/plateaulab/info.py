@@ -207,23 +207,20 @@ def _row_entropies(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _transcript_entropies(
+def mi_transcript_chunk(
     n: int, points: Optional[np.ndarray], m: int, start: int, count: int, seed: int
-) -> np.ndarray:
-    """H(C | transcript) of each trial, with one in-place Bayes step per query
-    for all trials of a sub-block.
+) -> list[float]:
+    """H(C | transcript) of each trial of a chunk, in trial order, with one
+    in-place Bayes step per query for all trials of a sub-block.
 
-    No query point depends on the answers, so trial t's draws are fixed by
-    the scalar path on RandomStack(seed, t): draw 0 is the hidden shift.
-    Uniform queries (`points` None) read n point draws and then the outcome,
-    query q from draw 1 + (q-1)(n+1); fixed queries, row q-1 of the (m, n)
-    `points`, read only the outcome, query q at draw q.
+    Query q asks a uniform point (`points` None) or row q-1 of the (m, n)
+    `points`.  No query point depends on the answers, so trial t's draws are
+    fixed by the scalar path on RandomStack(seed, t): draw 0 is the hidden
+    shift, then each query reads n point draws if uniform, and its outcome.
     """
     size = GRID_BASE**n
+    draws = n + 1 if points is None else 1  # per query; the outcome is the last
     bases = stream_bases(seed, np.arange(start, start + count))
-    if points is not None:  # one candidate row per distinct point
-        distinct, which = np.unique(points, axis=0, return_inverse=True)
-        table, which = candidate_block(distinct), which.reshape(-1)
     out = np.empty(count)
     step = _block_rows(n)
     for lo in range(0, count, step):
@@ -233,29 +230,18 @@ def _transcript_entropies(
         group = max(1, BLOCK_BYTES // (8 * GRID_BASE * n * len(block)))  # queries per h-table
         for q0 in range(0, m, group):
             k = min(group, m - q0)
-            if points is None:
-                u = uniform_block(block, 1 + q0 * (n + 1), k * (n + 1)).reshape(-1, k, n + 1)
-                htab = h_eval_array(wrap01_array((u[..., :n, None] + 1.0) / 2.0 - _TRIT_SHIFTS))
-                # the hidden shift's value: its h factors multiplied in coordinate order
-                f = np.take_along_axis(htab, index_trits(hidden, n)[:, None, :, None], 3)[..., 0]
-                y = np.where(u[..., n] < math.prod(f[..., j] for j in range(n)), 1.0, -1.0)
-                htab[..., n - 1, :] *= y[..., None]  # y = +-1: products times y, to the bit
-            else:
-                f = table[which[q0 : q0 + k], hidden[:, None]]
-                y = np.where(uniform_block(block, 1 + q0, k) < f, 1.0, -1.0)
+            u = uniform_block(block, 1 + q0 * draws, k * draws).reshape(-1, k, draws)
+            x = (u[..., :n] + 1.0) / 2.0 if points is None else points[q0 : q0 + k]
+            x = np.broadcast_to(x, (len(block), k, n))  # listed points: every trial asks them
+            htab = h_eval_array(wrap01_array(x[..., None] - _TRIT_SHIFTS))
+            # the hidden shift's value: its h factors multiplied in coordinate order
+            f = np.take_along_axis(htab, index_trits(hidden, n)[:, None, :, None], 3)[..., 0]
+            y = np.where(u[..., -1] < math.prod(f[..., j] for j in range(n)), 1.0, -1.0)
+            htab[..., n - 1, :] *= y[..., None]  # y = +-1: products times y, to the bit
             for q in range(k):
-                _bayes_step(weights, _tensor_product(htab[:, q]) if points is None
-                            else y[:, q, None] * table[which[q0 + q]])
+                _bayes_step(weights, _tensor_product(htab[:, q]))
         out[lo : lo + step] = _row_entropies(weights)
-    return out
-
-
-def mi_transcript_chunk(
-    n: int, strategy_spec, m: int, start: int, count: int, seed: int
-) -> list[float]:
-    """The conditional entropy of each trial of a chunk, in trial order."""
-    points = _query_points(strategy_spec, n, m)
-    return _transcript_entropies(n, points, m, start, count, seed).tolist()
+    return out.tolist()
 
 
 def transcript_mi(
@@ -281,9 +267,9 @@ def transcript_mi(
         raise ValueError("m must be >= 0")
     if m == 0:
         return 0.0, 0.0
-    _query_points(strategy_spec, n, m)  # a bad spec fails here, not in a pool worker
+    points = _query_points(strategy_spec, n, m)  # parsed once: a bad spec fails here
     sum_h = sum_h2 = 0.0
-    for h in run_chunks(mi_transcript_chunk, (n, strategy_spec, m), transcripts, seed, workers):
+    for h in run_chunks(mi_transcript_chunk, (n, points, m), transcripts, seed, workers):
         sum_h += h  # one pass, in trial order
         sum_h2 += h * h
     mean_h = sum_h / transcripts
@@ -303,8 +289,6 @@ def identify_chunk(
     equals ShiftedProductFunction.__call__ to the bit, so ties at tol fall
     as they do per trial.
     """
-    if not tol > 0:  # NaN too
-        raise ValueError("tol must be positive")
     counts = np.zeros(3, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
     step = _block_rows(n)
@@ -334,6 +318,8 @@ def identification_rates(
             f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: a candidate row needs"
             f" about {32 * GRID_BASE**n / 1e9:.3g} GB"
         )
+    if not tol > 0:  # NaN too; here, not in a pool worker
+        raise ValueError("tol must be positive")
     counts = run_chunks(identify_chunk, (n, tol), trials, seed, workers)
     unique, correct, ambiguous = counts.tolist()
     return unique / trials, correct / trials, ambiguous

@@ -337,9 +337,8 @@ def exit_time_experiment(
 ) -> list[CdfRow]:
     """Empirical CDF of the first query landing outside the hidden plateau,
     against the combined bound (p_exact + delta/2) * m."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    rate = float(p_exact_fraction(n)) + delta_bound(n) / 2.0  # refuses n < 1
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     counts = run_chunks(exit_time_chunk, (algo, n, m_max), trials, seed, workers)
-    return cdf_rows(counts, trials, float(p_exact_fraction(n)) + delta_bound(n) / 2.0)
+    return cdf_rows(counts, trials, rate)

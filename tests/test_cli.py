@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plateaulab import game, training
+from plateaulab import circuits, game, training
 from plateaulab.cli import (
     DEFAULT_SEED,
     EXIT_BAD_CONFIG,
@@ -299,6 +299,16 @@ def test_verify_circuit(tmp_path):
         "tensor-vs-analytic-agreement",
         "single-qubit-anchor-values",
     }
+
+
+def test_verify_circuit_refuses_n_max_above_cap_before_any_trial(tmp_path, monkeypatch, capsys):
+    def no_sim(f, x):
+        raise AssertionError("tensor_sim ran before the cap was checked")
+
+    monkeypatch.setattr(circuits, "tensor_sim", no_sim)
+    argv = ["verify-circuit", "--n-max", "11", "--trials", "5", "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_BAD_CONFIG
+    assert "n_max=11 exceeds statevector cap 10" in capsys.readouterr().err
 
 
 def test_seed_env_default(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plateaulab import info
+from plateaulab import _parallel, info
 from plateaulab.circuits import (
     ShiftedProductFunction,
     h_eval,
@@ -143,7 +143,7 @@ def test_mi_monte_carlo_matches_enumeration_tiny_cases():
     for pts in ([TorusPoint([0.2])], [TorusPoint([0.1]), TorusPoint([0.4])]):
         # the batched kernel, asking the fixed sequence
         points = np.array([x.array() for x in pts])
-        hs = info._transcript_entropies(1, points, len(pts), 0, 40_000, 8)
+        hs = np.array(mi_transcript_chunk(1, points, len(pts), 0, 40_000, 8))
         mi_mc, se = LOG2_3 - hs.mean(), hs.std() / math.sqrt(len(hs))
         mi_ex = mi_exact_enumeration(1, pts)
         assert abs(mi_mc - mi_ex) <= 4 * max(se, 1e-6)
@@ -176,9 +176,10 @@ def test_mi_refuses_a_callable_strategy():
 
 
 def test_mi_workers_invariance():
-    a = transcript_mi(2, "uniform", 4, 2500, seed=6, workers=1)
-    b = transcript_mi(2, "uniform", 4, 2500, seed=6, workers=2)
-    assert a == b
+    for spec in ("uniform", ("fixed", (0.2, 0.7))):
+        a = transcript_mi(2, spec, 4, 2500, seed=6, workers=1)
+        b = transcript_mi(2, spec, 4, 2500, seed=6, workers=2)
+        assert a == b
 
 
 # --- batched paths against their per-trial references ------------------------
@@ -332,12 +333,10 @@ def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, queries, see
     points = info._query_points(spec, n, m)
     if queries == "distinct":
         points = data.draw(_points(n, m))
-    got = info._transcript_entropies(n, points, m, start, count, seed)
+    got = mi_transcript_chunk(n, points, m, start, count, seed)
     want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
     # the same float operations in the same order: equal to the bit
-    assert got.shape == (count,) and np.array_equal(got, want)
-    if queries != "distinct":
-        assert mi_transcript_chunk(n, spec, m, start, count, seed) == want.tolist()
+    assert got == want.tolist()
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,10 +359,10 @@ def test_small_sub_blocks_equal_per_trial_loops(data, n, rows, m, queries, tol, 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(info, "BLOCK_BYTES", rows * 8 * 3**n)
         assert info._block_rows(n) == rows
-        got = info._transcript_entropies(n, points, m, start, count, seed)
+        got = mi_transcript_chunk(n, points, m, start, count, seed)
         counts = _or_inconsistent(lambda *a: identify_chunk(*a).tolist(), n, tol, start, count, seed)
     want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
-    assert got.shape == (count,) and np.array_equal(got, want)
+    assert got == want.tolist()
     assert counts == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
 
 
@@ -399,11 +398,17 @@ def test_row_entropies_equal_per_row_entropy(weights):
     assert info._row_entropies(weights).tolist() == want
 
 
-def test_mi_chunk_rejects_bad_specs():
-    with pytest.raises(ValueError, match="wrong dimension"):
-        mi_transcript_chunk(2, ("fixed", (0.1,)), 3, 0, 5, 0)
-    with pytest.raises(ValueError, match="unknown strategy"):
-        mi_transcript_chunk(2, "grid", 3, 0, 5, 0)
+def test_mi_rejects_bad_specs(monkeypatch):
+    # the spec is parsed once, before any chunk runs or the pool is asked for
+    def no_pool(size):
+        raise AssertionError("a bad spec reached the pool")
+
+    monkeypatch.setattr(_parallel, "_shared_pool", no_pool)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="wrong dimension"):
+            transcript_mi(2, ("fixed", (0.1,)), 3, 2500, seed=0, workers=workers)
+        with pytest.raises(ValueError, match="unknown strategy"):
+            transcript_mi(2, "grid", 3, 2500, seed=0, workers=workers)
 
 
 def _per_sequence_exact_mi(n, points):

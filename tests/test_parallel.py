@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from plateaulab import _parallel
 from plateaulab._parallel import TRIAL_CHUNK, pool_size, run_chunks
 from plateaulab.cli import EXIT_INTERNAL_ERROR, EXIT_OK, main
+from plateaulab.info import identification_rates
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -104,6 +105,16 @@ def test_calls_reuse_one_pool():
     assert second == first
     assert os.getpid() not in first
     assert len(first) == pool_size(2, _parallel._usable_cpus())
+
+
+@needs_two_cpus
+def test_identify_refuses_bad_tol_before_fan_out(monkeypatch):
+    def no_pool(size):
+        raise AssertionError("a bad tol reached the pool")
+
+    monkeypatch.setattr(_parallel, "_shared_pool", no_pool)
+    with pytest.raises(ValueError, match="^tol must be positive$"):
+        identification_rates(2, 2500, float("nan"), 0, workers=2)
 
 
 @needs_two_cpus
