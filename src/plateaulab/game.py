@@ -17,11 +17,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._parallel import run_chunks
-from .rng import RandomStack, index_block, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, RandomStack, index_block, stream_bases, uniform_block
 from .torus import (
     GRID_BASE,
     GridShift,
     TorusPoint,
+    far_coords,
     far_count_array,
     hamming_d,
     index_trits,
@@ -172,30 +173,43 @@ def win_round_counts(
 ) -> np.ndarray:
     """Win-round histogram (length m_max) for trials [start, start+count).
 
-    Alice answers "yes" until Bob wins, so no strategy's queries depend on
-    the answers and all live trials play round r together.  Trial t draws
-    what play_game with make_strategy on RandomStack(seed, t) draws: the
-    hidden shift from draw 0, then each round's point draws from draw 1 on.
+    Alice answers "yes" until Bob wins, so no query depends on an answer,
+    and each step plays w <= done + cycle rounds (a win at round q costs about
+    2q) of every live trial.  Trial t draws what play_game with make_strategy
+    on RandomStack(seed, t) draws: its hidden shift, then its points from draw 1.
     """
     if strategy_name not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy_name!r}")
     counts = np.zeros(m_max, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
-    trits = index_trits(index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n), n)
-    drawn = 1
-    x = None
-    for r in range(1, m_max + 1):
-        if not len(bases):
-            break
-        k = point_draws(strategy_name, n, r)
-        x = round_points(strategy_name, n, r, x, uniform_block(bases, drawn, k) if k else None)
-        drawn += k
-        won = far_count_array(x, trits) <= n / 2
-        counts[r - 1] = np.count_nonzero(won)
-        bases, trits = bases[~won], trits[~won]
-        if x.ndim == 2:
-            x = x[~won]
+    hidden = index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n)
+    trits = index_trits(hidden, n).astype(np.float64)[:, None, :]  # cast once per chunk
+    cycle = n if strategy_name == "adaptive" else 1
+    done = 0
+    while len(bases) and done < m_max:
+        per_cycle = max(1, BLOCK_BYTES // (8 * n * cycle * len(bases)))
+        w = min(m_max - done, done + cycle, cycle * per_cycle)
+        won = _block_far_counts(strategy_name, n, bases, trits, done, w) <= n / 2
+        hit = won.any(axis=1)
+        counts[done : done + w] += np.bincount(won[hit].argmax(axis=1), minlength=w)
+        bases, trits = bases[~hit], trits[~hit]
+        done += w
     return counts
+
+
+def _block_far_counts(name, n, bases, trits, done, w) -> np.ndarray:
+    """(rows, w) far counts of rounds done+1..done+w; trits is (rows, 1, n)."""
+    if name == "grid":  # the sweep points, the same for every row
+        return far_count_array(index_trits(np.arange(done, done + w), n) / GRID_BASE, trits)
+    if name == "uniform":
+        u = uniform_block(bases, 1 + done * n, w * n).reshape(len(bases), w, n)
+        return far_count_array(np.divide(u + 1.0, 2.0, out=u), trits)  # into u: one temporary
+    # adaptive, done a multiple of n: round k of a cycle moves x's coordinates 1..k-1
+    x = (uniform_block(bases, 1 + done, -(-w // n) * n).reshape(len(bases), -1, n) + 1.0) / 2.0
+    far = far_coords(x, trits)
+    step = far_coords(wrap01_array(x + 1.0 / GRID_BASE), trits).astype(np.int64) - far
+    step[..., 0] = np.einsum("...j->...", far, dtype=np.int64)
+    return np.cumsum(step, axis=-1).reshape(len(bases), -1)[:, :w]
 
 
 @dataclass(frozen=True)

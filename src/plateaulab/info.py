@@ -316,7 +316,7 @@ def identification_rates(
     if n > IDENTIFY_N_CAP:
         raise ValueError(
             f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: a candidate row needs"
-            f" about {32 * GRID_BASE**n / 1e9:.3g} GB"
+            f" about {32e-9 * GRID_BASE**n:.3g} GB"
         )
     if not tol > 0:  # NaN too; here, not in a pool worker
         raise ValueError("tol must be positive")

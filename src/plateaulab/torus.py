@@ -9,6 +9,7 @@ import numpy as np
 
 GRID_BASE = 3  # grid points per circle coordinate
 NEAR_RADIUS = 1.0 / (2 * GRID_BASE)  # 1/6; distance >= this counts as FAR
+N_MAX = int(math.log(np.finfo(np.float64).max, GRID_BASE))  # 646: float(3**n) is finite
 
 
 def wrap01(v: float) -> float:
@@ -106,9 +107,11 @@ class GridShift:
 
 
 def index_trits(idx: np.ndarray, n: int) -> np.ndarray:
-    """(len(idx), n) int64 trits of grid indices: GridShift.from_index on arrays."""
-    trits = [(idx // GRID_BASE**j) % GRID_BASE for j in range(n)]
-    return np.stack(trits, axis=1).astype(np.int64)
+    """(len(idx), n) int64 trits of idx mod 3**n: GridShift.from_index on arrays."""
+    trits = np.empty((len(idx), n), dtype=np.int64)
+    for j in range(n):
+        idx, trits[:, j] = idx // GRID_BASE, idx % GRID_BASE
+    return trits
 
 
 def bohr_dist(u: float, v: float) -> float:
@@ -159,9 +162,14 @@ def hamming_d(a: GridShift, x: TorusPoint) -> int:
     )
 
 
+def far_coords(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
+    """FAR flags of hamming_d on arrays: points (..., n), trits (n,) or one row per point.
+    As 3 - d is exact for d = |3x - t| >= 3/2, min(d, 3 - d) >= 1/2 is 1/2 <= d <= 5/2."""
+    d = points * GRID_BASE - trits
+    np.abs(d, out=d)
+    return (d >= GRID_BASE * NEAR_RADIUS) & (d <= GRID_BASE - GRID_BASE * NEAR_RADIUS)
+
+
 def far_count_array(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
-    """Vectorized FAR count; `points` has shape (..., n), `trits` shape (n,)
-    or one row of trits per point."""
-    d = np.abs(points * GRID_BASE - np.asarray(trits))
-    d = np.minimum(d, GRID_BASE - d)
-    return np.sum(d >= GRID_BASE * NEAR_RADIUS, axis=-1)
+    """hamming_d on arrays: far_coords summed (einsum: np.sum is slow on a short last axis)."""
+    return np.einsum("...j->...", far_coords(points, trits), dtype=np.int64)

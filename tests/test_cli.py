@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plateaulab import circuits, game, training
+from plateaulab import circuits, game, info, training
 from plateaulab.cli import (
     DEFAULT_SEED,
     EXIT_BAD_CONFIG,
@@ -208,6 +208,46 @@ def test_negative_values_in_exponent_form(tmp_path, capsys, argv, value, message
         assert code == EXIT_OK
     else:
         assert code == EXIT_BAD_CONFIG and message in capsys.readouterr().err
+
+
+_HUGE_N = [
+    ["game", "--trials", "3", "--m-max", "3"],
+    ["exit-time", "--trials", "3", "--m-max", "3"],
+    ["diverge", "--trials", "3", "--m", "2"],
+    ["train", "--trials", "2", "--budget", "3"],
+    ["identify", "--trials", "3"],
+    ["mi", "--transcripts", "3", "--m", "2"],
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv", _HUGE_N, ids=lambda argv: argv[0])
+def test_n_whose_shift_count_overflows_a_float_exits_2_before_fan_out(
+    tmp_path, monkeypatch, capsys, argv, workers
+):
+    def no_sweep(*args):
+        raise AssertionError("a sweep started before n was checked")
+
+    for module in (game, training, info):
+        monkeypatch.setattr(module, "run_chunks", no_sweep)
+    cases = [("647", "n=647 exceeds 646"), ("10000", "n=10000 exceeds 646")]
+    if argv[0] == "identify":  # its own cap, whose size estimate no longer overflows
+        cases.append(("646", "n=646 exceeds identify cap 13"))
+    for n, message in cases:
+        argv_n = [*argv, "--n", n, "--workers", workers, "--out", str(tmp_path / "x")]
+        assert main(argv_n) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", _HUGE_N[:4], ids=lambda argv: argv[0])
+def test_n_at_the_float_limit_still_runs(tmp_path, argv):
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        code = main([*argv, "--n", "646", "--seed", "3", "--workers", workers, "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_BOUND_VIOLATION)
+        outs.append(_read(out))
+    assert outs[0] == outs[1]
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):

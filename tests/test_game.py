@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from plateaulab.game import (
 )
 from plateaulab.oracles import RandomStack
 from plateaulab.torus import GridShift, TorusPoint
+from plateaulab.training import exit_time_experiment
 
 
 def test_in_plateau_examples():
@@ -145,9 +147,76 @@ def test_win_round_counts_equals_per_trial_games(n, strategy, seed, start, count
 
 def test_win_round_counts_hidden_index_beyond_float_precision():
     # 3**40 > 2**53: the hidden index no longer fits a float exactly
-    for strategy in ("uniform", "adaptive"):
+    for strategy in ("uniform", "grid", "adaptive"):
         got = win_round_counts(40, strategy, 20, 5, 40, seed=8)
         assert np.array_equal(got, _per_trial_win_round_counts(40, strategy, 20, 5, 40, 8))
+
+
+@pytest.mark.parametrize("n, m_max", [(9, 5), (16, 7), (6, 1)])
+def test_adaptive_win_round_counts_stop_inside_the_first_cycle(n, m_max):
+    got = win_round_counts(n, "adaptive", m_max, 3, 300, seed=12)
+    assert np.array_equal(got, _per_trial_win_round_counts(n, "adaptive", m_max, 3, 300, 12))
+
+
+@pytest.mark.parametrize("strategy", ["uniform", "grid", "adaptive"])
+@pytest.mark.parametrize("n", [6, 16])
+def test_win_round_counts_wide_chunk_equals_its_slices(strategy, n):
+    # 3000 live trials start at one round (one cycle) per block; 50-trial
+    # slices take many rounds per block, the regime the per-trial games check
+    whole = win_round_counts(n, strategy, 50, 7, 3000, seed=21)
+    parts = sum(win_round_counts(n, strategy, 50, 7 + s, 50, seed=21) for s in range(0, 3000, 50))
+    assert np.array_equal(whole, parts)
+
+
+# The exact law of the win round F(m) = P(win within m rounds), against the
+# empirical CDF of LAW_TRIALS trials with the DKW-Massart bound
+# P(sup_m |F_hat(m) - F(m)| > LAW_EPS) <= 2 exp(-2 N LAW_EPS^2) = LAW_BETA.
+# The seed was fixed before the first run.
+LAW_TRIALS, LAW_BETA, LAW_SEED = 200_000, 1e-6, 2718
+LAW_EPS = math.sqrt(math.log(2 / LAW_BETA) / (2 * LAW_TRIALS))  # 0.0060
+
+
+def _geometric_cdf(n, m_max):
+    """Every uniform query wins with probability p_exact(n), independently."""
+    q = 1 - p_exact_fraction(n)
+    return [float(1 - q**m) for m in range(1, m_max + 1)]
+
+
+def _grid_sweep_cdf(n, m_max):
+    """The share of the 3^n shifts within trit Hamming distance n // 2 of one
+    of the sweep's first m points, the sweep being indices 0, 1, ... mod 3^n
+    with trit 0 least significant."""
+    sweep = [[(r % 3**n) // 3**j % 3 for j in range(n)] for r in range(m_max)]
+    first = [
+        next((m for m, s in enumerate(sweep, 1) if sum(map(int.__ne__, a, s)) <= n // 2), m_max + 1)
+        for a in itertools.product(range(3), repeat=n)
+    ]
+    return [sum(f <= m for f in first) / 3**n for m in range(1, m_max + 1)]
+
+
+def _sup_gap(rows, exact):
+    return max(abs(r.cdf - f) for r, f in zip(rows, exact, strict=True))
+
+
+@pytest.mark.parametrize(
+    "n, strategy, m_max, workers",
+    [
+        (6, "uniform", 30, 1),
+        (6, "uniform", 30, 2),
+        (16, "uniform", 20, 1),
+        (34, "uniform", 4, 2),  # 3**34 > 2**53: the exact-integer hidden index
+        (4, "grid", 30, 1),
+    ],
+)
+def test_win_cdf_follows_its_exact_law(n, strategy, m_max, workers):
+    rows = estimate_win_cdf(n, strategy, LAW_TRIALS, m_max, LAW_SEED, workers)
+    exact = (_grid_sweep_cdf if strategy == "grid" else _geometric_cdf)(n, m_max)
+    assert _sup_gap(rows, exact) <= LAW_EPS
+
+
+def test_random_search_exit_time_follows_the_geometric_law():
+    rows = exit_time_experiment("random", 6, 20, LAW_TRIALS, LAW_SEED)
+    assert _sup_gap(rows, _geometric_cdf(6, 20)) <= LAW_EPS
 
 
 def test_estimate_win_cdf_workers_invariance():

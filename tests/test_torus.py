@@ -1,12 +1,16 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plateaulab.torus import (
+    N_MAX,
     GridShift,
     TorusPoint,
+    _scaled_grid_dist,
     bohr_dist,
+    far_coords,
     far_count_array,
     hamming_d,
     round_to_grid,
@@ -107,9 +111,43 @@ def test_hamming_matches_rounding_when_tie_free(data):
 
 
 def test_far_count_array_matches_scalar():
-    import numpy as np
-
     a = GridShift((1, 0, 2))
     pts = np.random.default_rng(0).random((50, 3))
     for row, fc in zip(pts, far_count_array(pts, a.trits)):
         assert fc == hamming_d(a, TorusPoint(row))
+
+
+# FAR boundaries: k/6, and z * 2**-53 for the z nearest 1/6, 1/2 and 5/6
+_EDGES = [k / 6 for k in range(7)] + [(k * 2**53 + 3) // 6 * 2.0**-53 for k in (1, 3, 5)]
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return wrap01(x)
+
+
+@st.composite
+def _points_near_edges(draw):
+    n = draw(st.integers(1, 6))
+    edge = st.builds(_ulps_from, st.sampled_from(_EDGES), st.integers(-64, 64))
+    return draw(st.lists(edge, min_size=n, max_size=n)), draw(
+        st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+
+@given(_points_near_edges(), st.sampled_from([np.int64, np.float64]))
+# |d - 3/2| <= 1 reads these two as FAR; they are NEAR
+@example(([math.nextafter(1 / 6, 0)], [0]), np.int64)
+@example(([1501199875790165 * 2.0**-53], [0]), np.float64)
+def test_far_coords_at_grid_boundaries(case, dtype):
+    coords, trits = case
+    points, t = np.array(coords), np.array(trits, dtype=dtype)
+    want = [_scaled_grid_dist(c, tr) >= 0.5 for c, tr in zip(coords, trits)]
+    assert far_coords(points, t).tolist() == want
+    assert far_count_array(points, t) == hamming_d(GridShift(tuple(trits)), TorusPoint(coords))
+
+
+def test_n_max_is_the_largest_n_whose_shift_count_converts_to_float():
+    assert math.isfinite(float(3**N_MAX))
+    with pytest.raises(OverflowError):
+        float(3 ** (N_MAX + 1))
