@@ -179,6 +179,8 @@ def _mi(args):
         if not args.point:
             raise ValueError("--strategy fixed requires --point")
         spec = ("fixed", tuple(float(v) for v in args.point.split(",")))
+    elif args.point is not None:
+        raise ValueError("--point applies only to --strategy fixed")
     else:
         spec = "uniform"
     mi, stderr = info.transcript_mi(

@@ -26,6 +26,7 @@ from .torus import (
     far_count_array,
     hamming_d,
     index_trits,
+    wrap01,
     wrap01_array,
 )
 
@@ -107,38 +108,24 @@ def bounds(n: int) -> BoundsRow:
 STRATEGIES = ("uniform", "grid", "adaptive")
 
 
-def point_draws(name: str, n: int, r: int) -> int:
-    """Uniforms round r >= 1 of strategy `name` reads: n every round for
-    "uniform", n every n-th round (r = 1, n+1, ...) for "adaptive", else 0."""
-    return n if name == "uniform" or (name == "adaptive" and (r - 1) % n == 0) else 0
-
-
-def round_points(name: str, n: int, r: int, x, u) -> np.ndarray:
-    """Query points of round r: one (n,) point for every row ("grid"), or
-    (rows, n) points from the round's (rows, point_draws) uniforms u, or
-    else the previous round's (rows, n) points x with coordinate (r-1) % n
-    moved one grid step, in place ("adaptive", as TorusPoint wraps)."""
-    if name == "grid":
-        return GridShift.from_index(n, (r - 1) % GRID_BASE**n).to_point().array()
-    if u is not None:
-        return (u + 1.0) / 2.0
-    j = (r - 1) % n
-    x[:, j] = wrap01_array(x[:, j] + 1.0 / GRID_BASE)
-    return x
-
-
 def make_strategy(name: str, n: int) -> Strategy:
-    """Strategy `name` for one game: its rounds on one row, the reference
-    win_round_counts is tested against."""
+    """Strategy `name` for one game, one scalar round per call: the per-trial
+    reference win_round_counts is tested against.  "grid" sweeps the shifts in
+    index order, "uniform" draws each point, and "adaptive" draws a point every
+    n rounds and in between moves coordinate (r-1) % n one grid step."""
     if name not in STRATEGIES:
         raise ValueError(f"unknown strategy {name!r}")
-    x = None
+    x: list[float] = []
 
     def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
-        nonlocal x
-        k = point_draws(name, n, round_idx)
-        x = round_points(name, n, round_idx, x, stack.pop_batch(k)[None, :] if k else None)
-        return TorusPoint(x.reshape(n))
+        if name == "grid":
+            return GridShift.from_index(n, (round_idx - 1) % GRID_BASE**n).to_point()
+        j = (round_idx - 1) % n
+        if name == "uniform" or j == 0:
+            x[:] = ((stack.pop_batch(n) + 1.0) / 2.0).tolist()
+        else:
+            x[j] = wrap01(x[j] + 1.0 / GRID_BASE)
+        return TorusPoint(x)
 
     return strat
 

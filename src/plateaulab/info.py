@@ -259,7 +259,7 @@ def transcript_mi(
     if n > MI_N_CAP:
         raise ValueError(
             f"n={n} exceeds posterior cap {MI_N_CAP}: every query of every transcript"
-            f" is a Bayes step over all 3^{n} = {GRID_BASE**n} shifts"
+            f" is a Bayes step over all 3^{n} = {GRID_BASE**n:.6g} shifts"
         )
     if transcripts < 1:
         raise ValueError("transcripts must be >= 1")

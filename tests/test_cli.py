@@ -88,6 +88,9 @@ _SWEEPS = [
     "argv",
     [
         ["game", "--n", "4", "--trials", "2500", "--m-max", "15"],
+        *[pytest.param(["game", "--n", "4", "--trials", "2500", "--m-max", "15",
+                        "--strategy", strategy], id=f"game-{strategy}")
+          for strategy in ("adaptive", "grid")],
         ["train", "--n", "4", "--trials", "1500", "--budget", "50"],
         ["exit-time", "--n", "6", "--trials", "1500", "--m-max", "10"],
         ["diverge", "--n", "6", "--m", "4", "--trials", "1500"],
@@ -162,6 +165,8 @@ def test_bad_sizes_exit_2(tmp_path, argv):
     [
         (["mi", "--n", "2", "--strategy", "fixed", "--point", "0.1,inf"], "must be finite"),
         (["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"], "must be finite"),
+        (["mi", "--n", "3", "--strategy", "uniform", "--point", "0.1,0.2,0.3"],
+         "--point applies only to --strategy fixed"),
         (["game", "--n", "0"], "n must be >= 1"),
         (["exit-time", "--n", "0"], "n must be >= 1"),
         (["diverge", "--n", "5", "--m", "0", "--eta", "5"], "eta must lie in [-1, 1]"),
@@ -233,10 +238,13 @@ def test_n_whose_shift_count_overflows_a_float_exits_2_before_fan_out(
     cases = [("647", "n=647 exceeds 646"), ("10000", "n=10000 exceeds 646")]
     if argv[0] == "identify":  # its own cap, whose size estimate no longer overflows
         cases.append(("646", "n=646 exceeds identify cap 13"))
+    if argv[0] == "mi":  # its own cap, whose message gives 3^n in short form
+        cases.append(("646", "n=646 exceeds posterior cap 8"))
     for n, message in cases:
         argv_n = [*argv, "--n", n, "--workers", workers, "--out", str(tmp_path / "x")]
         assert main(argv_n) == EXIT_BAD_CONFIG
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and len(err) < 200
 
 
 @pytest.mark.parametrize("argv", _HUGE_N[:4], ids=lambda argv: argv[0])

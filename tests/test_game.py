@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plateaulab.circuits import ShiftedProductFunction
 from plateaulab.game import (
@@ -139,6 +139,8 @@ def _per_trial_win_round_counts(n, strategy_name, m_max, start, count, seed):
     count=st.integers(0, 60),
     m_max=st.integers(0, 60),
 )
+@example(n=1, strategy="adaptive", seed=5, start=0, count=60, m_max=60)  # a draw every round
+@example(n=2, strategy="grid", seed=5, start=0, count=60, m_max=60)  # m_max > 3^n
 def test_win_round_counts_equals_per_trial_games(n, strategy, seed, start, count, m_max):
     got = win_round_counts(n, strategy, m_max, start, count, seed)
     want = _per_trial_win_round_counts(n, strategy, m_max, start, count, seed)
