@@ -22,6 +22,7 @@ from .torus import (
     GRID_BASE,
     GridShift,
     TorusPoint,
+    check_n,
     far_coords,
     far_count_array,
     hamming_d,
@@ -231,7 +232,7 @@ def estimate_win_cdf(
     workers: int = 1,
 ) -> list[CdfRow]:
     """Empirical CDF of the win round, with the linear first-round bound."""
-    rate = float(p_exact_fraction(n))  # refuses n < 1
+    rate = float(p_exact_fraction(check_n(n)))
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     counts = run_chunks(win_round_counts, (n, strategy_name, m_max), games, seed, workers)

@@ -17,7 +17,7 @@ from ._parallel import run_chunks
 from .circuits import h_eval_array
 from .oracles import RandomStack, eval_query
 from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
-from .torus import GRID_BASE, GridShift, TorusPoint, index_trits, wrap01_array
+from .torus import GRID_BASE, GridShift, TorusPoint, check_n, index_trits, wrap01_array
 
 LOG2_3 = math.log2(3)
 
@@ -254,8 +254,7 @@ def transcript_mi(
     each sampled transcript is computed exactly, so the estimator of
     E[H(C|T)] is unbiased.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_n(n)
     if n > MI_N_CAP:
         raise ValueError(
             f"n={n} exceeds posterior cap {MI_N_CAP}: every query of every transcript"
@@ -311,8 +310,7 @@ def identification_rates(
 ) -> tuple[float, float, int]:
     """(unique rate, unique-and-correct rate, ambiguous count) over trials
     with a uniformly hidden shift."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_n(n)
     if n > IDENTIFY_N_CAP:
         raise ValueError(
             f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: a candidate row needs"

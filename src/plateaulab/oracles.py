@@ -37,12 +37,6 @@ class Transcript:
     def points(self) -> list[TorusPoint]:
         return [x for x, _ in self.entries]
 
-    def outcomes(self) -> list[int]:
-        return [q for _, q in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class ClampedFunction:
@@ -53,6 +47,8 @@ class ClampedFunction:
     eta: float
 
     def __post_init__(self):
+        if self.region.n != self.base.n:
+            raise ValueError("region dimension must match function dimension")
         if not -1.0 <= self.eta <= 1.0:
             raise ValueError("eta must lie in [-1, 1]")
 
@@ -67,8 +63,6 @@ class ClampedFunction:
 
 
 def clamp_to_plateau(base, region, eta: float) -> ClampedFunction:
-    if region.n != base.n:
-        raise ValueError("region dimension must match function dimension")
     return ClampedFunction(base, region, eta)
 
 

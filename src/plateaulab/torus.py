@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -24,34 +24,24 @@ def wrap01_array(v: np.ndarray) -> np.ndarray:
     return np.where(c >= 1.0, 0.0, c)
 
 
+def check_n(n: int) -> int:
+    if not 1 <= n <= N_MAX:  # a front end's n: its hidden-shift draw scales by float(3**n)
+        raise ValueError("n must be >= 1" if n < 1 else
+                         f"n={n} exceeds {N_MAX}: 3^n shifts overflow a float")
+    return n
+
+
+@dataclass(frozen=True)
 class TorusPoint:
     """A point of (R/Z)^n; coordinates stored in [0, 1)."""
 
-    __slots__ = ("coords",)
+    coords: tuple[float, ...]  # any sequence of reals, wrapped by __post_init__
 
-    def __init__(self, coords: Sequence[float]):
-        object.__setattr__(self, "coords", tuple(wrap01(float(c)) for c in coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusPoint is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(wrap01(float(c)) for c in self.coords))
 
     def __len__(self) -> int:
         return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, j: int) -> float:
-        return self.coords[j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TorusPoint) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"TorusPoint({self.coords!r})"
 
     @property
     def n(self) -> int:

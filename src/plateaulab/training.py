@@ -22,7 +22,7 @@ import numpy as np
 
 from ._parallel import run_chunks
 from .circuits import ShiftedProductFunction, h_eval_array, shifted_product_rows
-from .game import CdfRow, PlateauRegion, cdf_rows, delta_bound, p_exact_fraction
+from .game import CdfRow, PlateauRegion, cdf_rows, check_n, delta_bound, p_exact_fraction
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
 from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block, uniforms_at
@@ -274,8 +274,7 @@ def trainer_sweep(
     seed: int,
     workers: int = 1,
 ) -> list[tuple[int, int, bool, Optional[int]]]:
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_n(n)
     _check_trainer_args(alpha, budget)
     return run_chunks(trainer_trials_chunk, (algo, n, alpha, budget), trials, seed, workers)
 
@@ -308,6 +307,7 @@ def divergence_experiment(
     """Empirical probability that coupled runs diverge within m queries."""
     if n < 4:
         raise ValueError("need n >= 4 so that delta < 1/2")
+    check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
     if not -1.0 <= eta <= 1.0:
@@ -337,7 +337,7 @@ def exit_time_experiment(
 ) -> list[CdfRow]:
     """Empirical CDF of the first query landing outside the hidden plateau,
     against the combined bound (p_exact + delta/2) * m."""
-    rate = float(p_exact_fraction(n)) + delta_bound(n) / 2.0  # refuses n < 1
+    rate = float(p_exact_fraction(check_n(n))) + delta_bound(n) / 2.0
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     counts = run_chunks(exit_time_chunk, (algo, n, m_max), trials, seed, workers)

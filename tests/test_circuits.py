@@ -101,6 +101,10 @@ def test_f_eval_dim_mismatch():
     f = ShiftedProductFunction(2, GridShift((0, 0)))
     with pytest.raises(ValueError):
         f(TorusPoint([0.1]))
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
+        tensor_sim(f, TorusPoint([0.1]))
+    with pytest.raises(ValueError, match="shift dimension must equal n"):
+        ShiftedProductFunction(2, GridShift((0,)))
 
 
 def test_tensor_sim_matches_f_eval():

@@ -26,6 +26,8 @@ def test_in_plateau_examples():
     assert region.contains(TorusPoint([0.5, 0.5]))
     assert not region.contains(TorusPoint([0.5, 0.05]))
     assert not region.contains(TorusPoint([0.0, 0.0]))  # center never a member
+    with pytest.raises(ValueError, match="center dimension must equal n"):
+        PlateauRegion(2, GridShift((0,)))
 
 
 def test_in_plateau_shift_covariance():

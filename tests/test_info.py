@@ -39,6 +39,8 @@ def test_posterior_validation():
         Posterior(1, np.array([0.5, 0.5, 0.5]))
     with pytest.raises(ValueError):
         Posterior(1, np.array([0.9, 0.2, -0.1]))
+    with pytest.raises(ValueError, match="probs must have length 3\\*\\*n"):
+        Posterior(2, np.full(3, 1 / 3))
 
 
 def test_candidate_values_ordering():
@@ -48,6 +50,8 @@ def test_candidate_values_ordering():
     for idx in range(9):
         a = GridShift.from_index(2, idx)
         assert vals[idx] == pytest.approx(ShiftedProductFunction(2, a)(x))
+    with pytest.raises(ValueError, match="dimension mismatch: expected 2, got 1"):
+        candidate_values(2, TorusPoint([0.1]))
 
 
 def test_posterior_update_hand_values():
@@ -137,6 +141,8 @@ def test_mi_exact_enumeration_hand_value():
         LOG2_3 - 4 / 3, abs=1e-12
     )
     assert mi_exact_enumeration(1, []) == 0.0
+    with pytest.raises(ValueError, match="m too large"):
+        mi_exact_enumeration(1, [TorusPoint([0.0])] * 21)
 
 
 def test_mi_monte_carlo_matches_enumeration_tiny_cases():
@@ -299,6 +305,10 @@ def test_omnipotent_identify_at_the_smallest_tol():
         hidden = GridShift.from_index(4, stack.pop_index(3**4))
         res = omnipotent_identify(4, ShiftedProductFunction(4, hidden), stack, tol=5e-324)
         assert res.shift == hidden
+    f = ShiftedProductFunction(1, GridShift((0,)))
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            omnipotent_identify(1, f, RandomStack(0), tol=tol)
 
 
 @settings(max_examples=60, deadline=None)

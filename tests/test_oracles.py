@@ -167,5 +167,8 @@ def test_clamp_validation():
     f = ShiftedProductFunction(2, GridShift((0, 0)))
     with pytest.raises(ValueError):
         clamp_to_plateau(f, PlateauRegion(3, GridShift.zero(3)), 0.0)
+    f3 = ShiftedProductFunction(3, GridShift.zero(3))
+    with pytest.raises(ValueError, match="region dimension must match"):  # when built, not called
+        ClampedFunction(f3, PlateauRegion(2, GridShift.zero(2)), 0.0)
     with pytest.raises(ValueError):
         ClampedFunction(f, PlateauRegion(2, GridShift.zero(2)), 1.5)

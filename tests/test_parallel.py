@@ -89,6 +89,14 @@ def test_one_chunk_or_one_worker_runs_in_process():
         assert run_chunks(_pid_after, (0,), 2 * TRIAL_CHUNK + 1, 0, 2) == [os.getpid()] * 3
 
 
+def test_usable_cpus_without_an_affinity_api(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _parallel._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert _parallel._usable_cpus() == 1
+
+
 @needs_two_cpus
 def test_sweep_of_one_fixed_chunk_runs_on_two_processes():
     # 100 trials fit in one TRIAL_CHUNK, yet at --workers 2 they run as 2 x 50

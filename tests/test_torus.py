@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from plateaulab import game, info, training
 from plateaulab.torus import (
     N_MAX,
     GridShift,
@@ -37,11 +38,33 @@ def test_torus_point_immutable():
         p.coords = (0.5,)
 
 
+def test_torus_point_is_a_plain_value():
+    raw = [1.25, -0.25, 0.5]
+    x, y, z = TorusPoint(raw), TorusPoint(tuple(raw)), TorusPoint(np.array(raw))
+    assert x.coords == y.coords == z.coords == (0.25, 0.75, 0.5)
+    assert x == y == z and hash(x) == hash(y) == hash(z)
+    assert len({x, y, z}) == 1 and {x: 1}[z] == 1
+    assert x != TorusPoint([0.25, 0.75, 0.25])
+    assert x != x.coords and x != (0.25, 0.75, 0.5)
+    assert TorusPoint([0.0]) != GridShift((0,)) and GridShift((0,)) != TorusPoint([0.0])
+    assert x - GridShift((1, 2, 0)) == TorusPoint([0.25 - 1 / 3, 0.75 - 2 / 3, 0.5])
+    assert x - y == TorusPoint([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        TorusPoint([0.1]) - TorusPoint([0.1, 0.2])
+    with pytest.raises(AttributeError):
+        x.coords = (0.5, 0.5, 0.5)
+    assert x.coords == (0.25, 0.75, 0.5)
+    assert "__init__" in vars(TorusPoint)  # a class attribute that can be wrapped
+
+
 def test_grid_shift_validation():
     with pytest.raises(ValueError):
         GridShift((0, 3))
     with pytest.raises(ValueError):
         GridShift((0, -1))
+    for index in (9, -1):
+        with pytest.raises(ValueError, match="index out of range"):
+            GridShift.from_index(2, index)
 
 
 def test_grid_shift_enumeration_and_index_roundtrip():
@@ -151,3 +174,26 @@ def test_n_max_is_the_largest_n_whose_shift_count_converts_to_float():
     assert math.isfinite(float(3**N_MAX))
     with pytest.raises(OverflowError):
         float(3 ** (N_MAX + 1))
+
+
+_FRONT_ENDS = {
+    "estimate_win_cdf": lambda n: game.estimate_win_cdf(n, "uniform", 3, 3, 0, workers=2),
+    "exit_time_experiment": lambda n: training.exit_time_experiment("random", n, 3, 3, 0, 2),
+    "trainer_sweep": lambda n: training.trainer_sweep("random", n, 0.5, 3, 2, 0, workers=2),
+    "divergence_experiment":
+        lambda n: training.divergence_experiment("random", n, 2, 3, 0.0, 0, 2),
+    "transcript_mi": lambda n: info.transcript_mi(n, "uniform", 2, 3, 0, workers=2),
+    "identification_rates": lambda n: info.identification_rates(n, 3, 1e-9, 0, workers=2),
+}
+
+
+@pytest.mark.parametrize("front_end", sorted(_FRONT_ENDS))
+def test_front_ends_refuse_n_above_n_max_before_fan_out(monkeypatch, front_end):
+    def no_sweep(*args):
+        raise AssertionError("a sweep started before n was checked")
+
+    for module in (game, training, info):
+        monkeypatch.setattr(module, "run_chunks", no_sweep)
+    for n in (N_MAX + 1, 10_000):  # before any cap message that formats 3^n
+        with pytest.raises(ValueError, match=f"^n={n} exceeds {N_MAX}: 3\\^n shifts overflow"):
+            _FRONT_ENDS[front_end](n)
