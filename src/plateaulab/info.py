@@ -17,7 +17,7 @@ from ._parallel import run_chunks
 from .circuits import h_eval_array
 from .oracles import RandomStack, eval_query
 from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
-from .torus import GRID_BASE, GridShift, TorusPoint, check_n, index_trits, wrap01_array
+from .torus import GRID_BASE, GridShift, TorusPoint, check_n, wrap01_array
 
 LOG2_3 = math.log2(3)
 
@@ -92,10 +92,11 @@ def _bayes_step(weights: np.ndarray, yvals: np.ndarray) -> None:
     """Unnormalised Bayes step on weights, in place, with likelihood
     (1 + y f_a(x)) / 2 from yvals = y * f_a(x), which it overwrites; rows
     broadcast.  The float operations are those of
-    weights * (1.0 + yvals) / 2.0."""
+    weights * (1.0 + yvals) / 2.0: halving by * 0.5 gives the correctly
+    rounded x / 2 of every double, subnormals included."""
     yvals += 1.0
     weights *= yvals
-    weights /= 2.0
+    weights *= 0.5
 
 
 def posterior_update(prior: Posterior, x: TorusPoint, outcome: int) -> Posterior:
@@ -217,29 +218,46 @@ def mi_transcript_chunk(
     `points`.  No query point depends on the answers, so trial t's draws are
     fixed by the scalar path on RandomStack(seed, t): draw 0 is the hidden
     shift, then each query reads n point draws if uniform, and its outcome.
+
+    Per group of queries, one h-table and one prefix table (the products
+    over coordinates 0..n-2) serve the answers and the Bayes steps; listed
+    points build both on one row, which every trial of the sub-block reads.
+    Each query's likelihood row is the prefix row times the top coordinate's
+    y-signed factors, written into one reused buffer: the float operations of
+    candidate_values, so every entropy equals the scalar path's to the bit.
     """
     size = GRID_BASE**n
+    low = size // GRID_BASE  # prefix entries: the shifts of coordinates 0..n-2
     draws = n + 1 if points is None else 1  # per query; the outcome is the last
     bases = stream_bases(seed, np.arange(start, start + count))
     out = np.empty(count)
     step = _block_rows(n)
     for lo in range(0, count, step):
         block = bases[lo : lo + step]
+        rows = len(block)
         hidden = index_block(uniform_block(block, 0, 1)[:, 0], size)
-        weights = np.full((len(block), size), 1.0 / size)
-        group = max(1, BLOCK_BYTES // (8 * GRID_BASE * n * len(block)))  # queries per h-table
+        weights = np.full((rows, size), 1.0 / size)
+        buf = np.empty((rows, GRID_BASE, low))  # one query's y * f_a(x), top trit first
+        # queries per group: the h-table within BLOCK_BYTES, the prefix table within 3x that
+        group = max(1, BLOCK_BYTES // (8 * rows * max(GRID_BASE * n, size // 9)))
         for q0 in range(0, m, group):
             k = min(group, m - q0)
             u = uniform_block(block, 1 + q0 * draws, k * draws).reshape(-1, k, draws)
-            x = (u[..., :n] + 1.0) / 2.0 if points is None else points[q0 : q0 + k]
-            x = np.broadcast_to(x, (len(block), k, n))  # listed points: every trial asks them
-            htab = h_eval_array(wrap01_array(x[..., None] - _TRIT_SHIFTS))
-            # the hidden shift's value: its h factors multiplied in coordinate order
-            f = np.take_along_axis(htab, index_trits(hidden, n)[:, None, :, None], 3)[..., 0]
-            y = np.where(u[..., -1] < math.prod(f[..., j] for j in range(n)), 1.0, -1.0)
-            htab[..., n - 1, :] *= y[..., None]  # y = +-1: products times y, to the bit
+            x = (u[..., :n] + 1.0) / 2.0 if points is None else points[None, q0 : q0 + k]
+            htab = h_eval_array(wrap01_array(x[..., None] - _TRIT_SHIFTS))  # (rows or 1, k, n, 3)
+            head = htab[..., :-1, :].reshape(len(htab) * k, n - 1, GRID_BASE)
+            prefix = _tensor_product(head) if n > 1 else np.ones((len(head), 1))  # 1.0 * h: exact
+            prefix = prefix.reshape(len(htab), k, low)
+            # the hidden shift's value: its prefix entry times its top factor, math.prod's order
+            f = (np.take_along_axis(prefix, (hidden % low)[:, None, None], 2)[..., 0]
+                 * np.take_along_axis(htab[..., -1, :], (hidden // low)[:, None, None], 2)[..., 0])
+            y = np.where(u[..., -1] < f, 1.0, -1.0)
+            top = htab[..., -1, :] * y[..., None]  # y = +-1: products times y, to the bit
             for q in range(k):
-                _bayes_step(weights, _tensor_product(htab[:, q]))
+                for t in range(GRID_BASE):
+                    np.multiply(prefix[:, q], top[:, q, t, None], out=buf[:, t])
+                _bayes_step(weights.reshape(rows, GRID_BASE, low), buf)
+            del u, x, htab, head, prefix, f, y, top  # freed before the next group's: peak memory
         out[lo : lo + step] = _row_entropies(weights)
     return out.tolist()
 

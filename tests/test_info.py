@@ -1,4 +1,6 @@
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from plateaulab.info import (
     transcript_mi,
 )
 from plateaulab.oracles import RandomStack
+from plateaulab.rng import uniform_block
 from plateaulab.torus import GridShift, TorusPoint, wrap01_array
 
 
@@ -349,31 +352,96 @@ def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, queries, see
     assert got == want.tolist()
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    data=st.data(),
-    n=st.integers(1, 4),
-    rows=st.integers(1, 3),
-    m=st.integers(0, 10),
-    queries=st.sampled_from(["uniform", "fixed", "distinct"]),
-    tol=st.sampled_from([1e-12, 1e-9, 0.05]),
-    seed=_seed,
-    start=st.integers(0, 10**6),
-    count=st.integers(0, 12),
-)
-def test_small_sub_blocks_equal_per_trial_loops(data, n, rows, m, queries, tol, seed, start, count):
+def test_small_sub_blocks_equal_per_trial_loops():
     # BLOCK_BYTES of `rows` posterior rows: a new sub-block every 1-3 trials,
-    # and each sub-block's queries split into groups of 1-6 (3**(n-1) // n)
-    spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if queries == "fixed" else "uniform"
-    points = data.draw(_points(n, m)) if queries == "distinct" else info._query_points(spec, n, m)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(info, "BLOCK_BYTES", rows * 8 * 3**n)
-        assert info._block_rows(n) == rows
-        got = mi_transcript_chunk(n, points, m, start, count, seed)
-        counts = _or_inconsistent(lambda *a: identify_chunk(*a).tolist(), n, tol, start, count, seed)
-    want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
-    assert got == want.tolist()
-    assert counts == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
+    # and each sub-block's queries split into groups of 1-6 (3**n // max(3n, 3**n // 9))
+    split = []  # per drawn case: did a sub-block draw a second group of queries?
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 4),
+        rows=st.integers(1, 3),
+        m=st.integers(0, 10),
+        queries=st.sampled_from(["uniform", "fixed", "distinct"]),
+        tol=st.sampled_from([1e-12, 1e-9, 0.05]),
+        seed=_seed,
+        start=st.integers(0, 10**6),
+        count=st.integers(0, 12),
+    )
+    def case(data, n, rows, m, queries, tol, seed, start, count):
+        spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if queries == "fixed" else "uniform"
+        points = data.draw(_points(n, m)) if queries == "distinct" else info._query_points(spec, n, m)
+        offsets = []  # a group after the first reads its draws past offset 1
+
+        def spy(bases, offset, k):
+            offsets.append(offset)
+            return uniform_block(bases, offset, k)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(info, "BLOCK_BYTES", rows * 8 * 3**n)
+            patch.setattr(info, "uniform_block", spy)
+            assert info._block_rows(n) == rows
+            got = mi_transcript_chunk(n, points, m, start, count, seed)
+            counts = _or_inconsistent(lambda *a: identify_chunk(*a).tolist(), n, tol, start, count, seed)
+        want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
+        assert got == want.tolist()
+        assert counts == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
+        split.append(max(offsets, default=0) > 1)
+
+    case()
+    assert any(split)
+
+
+@pytest.mark.parametrize("queries", ["uniform", "fixed", "distinct"])
+@pytest.mark.parametrize("n", [1, 8])
+def test_transcript_entropies_equal_scalar_loop_at_n_1_and_8(n, queries):
+    # n = 1 has no prefix coordinates, so its prefix table is ones; at n = 8,
+    # 13 queries fill one group and leave a partial one, over 2-row sub-blocks
+    m = 13
+    stack = RandomStack(31)
+    drawn = (np.array([stack.pop_batch(n) for _ in range(m)]) + 1.0) / 2.0
+    drawn[2] = GridShift.from_index(n, 1).to_point().array()  # zero likelihoods
+    points = {
+        "uniform": None,
+        "fixed": info._query_points(("fixed", tuple(drawn[0])), n, m),
+        "distinct": drawn,
+    }[queries]
+    got = mi_transcript_chunk(n, points, m, 40, 40, 2024)
+    assert got == info._transcript_entropies_scalar(n, points, m, 40, 40, 2024).tolist()
+
+
+def test_mi_chunk_peak_traced_allocation():
+    # a full sub-block and a partial one; m = 200 splits the queries into groups
+    for n in range(1, 9):
+        count = info._block_rows(n) + 1
+        for m in (1, 10, 200):
+            tracemalloc.start()
+            try:
+                mi_transcript_chunk(n, None, m, 0, count, 5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 12 * info.BLOCK_BYTES, (n, m, peak / info.BLOCK_BYTES)
+
+
+# every finite double: hypothesis's floats, subnormals included, and uniform bit patterns
+_finite_double = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(math.isfinite),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_finite_double, min_size=1, max_size=40))
+def test_halving_by_multiplying_equals_dividing(xs):
+    # _bayes_step halves with * 0.5: both round x / 2 correctly, so the bits agree
+    half, quotient = np.array(xs), np.array(xs)
+    half *= 0.5
+    quotient /= 2.0
+    assert half.view(np.uint64).tolist() == quotient.view(np.uint64).tolist()
 
 
 @st.composite
