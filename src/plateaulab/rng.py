@@ -5,7 +5,8 @@ number of workers, in any chunking, and still reproduce byte-for-byte.
 The generator is SplitMix64 over a counter: fast, vectorizable, and good
 enough statistically for Monte Carlo at desk scale.  `uniform_block` draws
 the same values for many streams at once, one row per stream, and
-`uniforms_at` any set of (stream, draw) cells.
+`uniforms_at` any set of (stream, draw) cells, and `advance` moves a stream
+on by a number of draws.
 """
 from __future__ import annotations
 
@@ -62,6 +63,13 @@ def uniforms_at(bases, draws) -> np.ndarray:
     is a uint64 array first, as products of numpy scalars would warn."""
     idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
     return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64), idx)
+
+
+def advance(bases, draws) -> np.ndarray:
+    """Bases of the streams `bases` moved on by `draws` draws, broadcast: draw k
+    of advance(b, d) is draw d + k of b, as each draw adds one fixed increment
+    to the SplitMix64 counter."""
+    return np.asarray(bases, dtype=np.uint64) + np.asarray(draws, dtype=np.uint64) * _GOLDEN_U
 
 
 def _as_uint64(values) -> np.ndarray:

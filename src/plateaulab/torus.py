@@ -13,15 +13,18 @@ N_MAX = int(math.log(np.finfo(np.float64).max, GRID_BASE))  # 646: float(3**n) i
 
 
 def wrap01(v: float) -> float:
-    """Wrap a real into [0, 1). Values that round to exactly 1.0 clamp to 0."""
-    c = v - math.floor(v)
+    """Wrap a real into [0, 1). Values that round to exactly 1.0 clamp to 0.
+    v % 1.0 is v - floor(v) to the bit, but +0.0 where that is -0.0."""
+    c = v % 1.0
     return 0.0 if c >= 1.0 else c
 
 
 def wrap01_array(v: np.ndarray) -> np.ndarray:
-    """wrap01 elementwise, with its float operations."""
-    c = v - np.floor(v)
-    return np.where(c >= 1.0, 0.0, c)
+    """wrap01 elementwise, to the bit: v - floor(v) with its one rounding, then the clamp."""
+    c = np.floor(v, out=np.empty(np.shape(v)))  # an array even when v is 0-d
+    np.subtract(v, c, out=c)
+    c[c >= 1.0] = 0.0
+    return c
 
 
 def check_n(n: int) -> int:

@@ -25,8 +25,10 @@ from .circuits import ShiftedProductFunction, h_eval_array, shifted_product_rows
 from .game import CdfRow, PlateauRegion, cdf_rows, check_n, delta_bound, p_exact_fraction
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
-from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block, uniforms_at
-from .torus import GRID_BASE, GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
+from .rng import BLOCK_BYTES, advance, index_block, stream_bases, uniform_block, uniforms_at
+from .torus import (
+    GRID_BASE, GridShift, TorusPoint, far_coords, far_count_array, index_trits, wrap01_array,
+)
 
 ALGORITHMS = ("random", "spsa", "pshift")
 
@@ -154,38 +156,53 @@ def run_trainer(
 
 def _random_cells(n, bases, trits, done, width, level, exits, answers):
     """f, inside and r of random search's queries done+1..done+width, each
-    (rows, width), coordinate-major over the cells: coordinate j of a cell
-    is drawn only while its f is undecided (|p| >= floor) or its row is in
-    `exits`, the rows whose inside is read (elsewhere inside means nothing).
-    The float operations are points', shifted_product_rows' and
-    far_count_array's, so each value read is theirs to the bit."""
-    cell = np.repeat(np.arange(len(bases)), width)  # row of each cell
-    first = 1 + (n + 1) * np.tile(np.arange(done, done + width), len(bases))  # draw of x_0
-    base = bases[cell]
-    r = uniforms_at(base, first + n) if answers else None
-    x = (uniforms_at(base, first) + 1.0) / 2.0  # in [0, 1): points' wrap is a no-op
-    fx, live = None, np.arange(0)  # live: the cells whose f is undecided
+    (rows, width).  Cell (row, q) reads draw 1 + (n+1)(done+q) + j of its
+    row's stream as x_j, and draw j = n as r.  Coordinate 0 and r are one
+    broadcast draw over every cell.  Coordinate j >= 1 is drawn for every
+    cell of the rows in `exits`, whose inside is read (elsewhere inside
+    means nothing), and for the cells whose f is undecided (|p| >= floor):
+    compacted arrays of their flat index, advanced stream, floor and running
+    product p, which shrink once per coordinate.  The float operations are
+    points', shifted_product_rows' and far_coords', so each value read is
+    theirs to the bit."""
+    def coordinate(s, j):  # (u + 1) / 2 is in [0, 1): points' wrap is a no-op
+        x = uniforms_at(s, j)
+        x += 1.0
+        x /= 2.0
+        return x
+
+    # draw j of cell (row, q) is uniforms_at(s[row, q], j)
+    s = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
+    r = uniforms_at(s, n) if answers else None
+    x = coordinate(s, 0)
+    every = exits.all()
+    need = slice(None) if every else np.flatnonzero(exits)  # the rows whose inside is read
+    sn, tn = s[need], trits[need]
+    far = far_coords(x[need], tn[:, :1]).astype(np.int64)
+    fx, cell = None, np.arange(0)  # cell: the flat cells whose f is undecided
+    shift = trits / 3.0  # the a_j that points subtract, per row
     if level is not None:
-        fx, live = h_eval_array(wrap01_array(x - trits[cell, 0] / 3.0)), np.arange(len(cell))
-        floor = level if r is None else np.minimum(np.abs(r), level)
-    every, is_need = exits.all(), exits[cell]
-    need = slice(None) if every else np.flatnonzero(is_need)
-    far = np.zeros(len(cell), dtype=np.int64)  # far counts, kept only at need cells
-    far[need] = far_count_array(x[need, None], trits[cell[need], :1])
+        fx = h_eval_array(wrap01_array(x - shift[:, :1]))
+        floor = level if r is None else np.minimum(np.abs(r), level).reshape(-1)
+        p = flat = fx.reshape(-1)
+        cell, s = np.arange(fx.size), s.reshape(-1)
     for j in range(1, n):
-        if len(live):
-            live = live[np.abs(fx[live]) >= (floor if r is None else floor[live])]
-        drawn = need if every else live
-        if not every and len(need):  # the cells in live or need, in order
-            drawn = np.flatnonzero(np.bincount(live, minlength=len(cell)) + is_need)
-        xj = (uniforms_at(base[drawn], first[drawn] + j) + 1.0) / 2.0
-        if drawn is not live:
-            x[drawn] = xj
-            xj = x[live]
-            far[need] += far_count_array(x[need, None], trits[cell[need], j, None])
-        if len(live):
-            fx[live] *= h_eval_array(wrap01_array(xj - trits[cell[live], j] / 3.0))
-    return [None if v is None else v.reshape(len(bases), width) for v in (fx, far > n / 2, r)]
+        if far.size:
+            x = coordinate(sn, j)
+            far += far_coords(x, tn[:, j, None])
+        if len(cell):
+            keep = np.flatnonzero(np.abs(p) >= floor)  # faster than a mask for 2+ arrays
+            cell, p = cell[keep], p[keep]
+            if r is not None:
+                floor = floor[keep]
+            if not every:
+                s = s[keep]
+            xj = x.reshape(-1)[cell] if every else coordinate(s, j)
+            p *= h_eval_array(wrap01_array(xj - shift[:, j][cell // width]))
+            flat[cell] = p
+    inside = np.zeros((len(bases), width), dtype=bool)
+    inside[need] = far > n / 2
+    return fx, inside, r
 
 
 def _lockstep(

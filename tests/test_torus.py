@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plateaulab import game, info, training
 from plateaulab.torus import (
@@ -16,6 +17,7 @@ from plateaulab.torus import (
     hamming_d,
     round_to_grid,
     wrap01,
+    wrap01_array,
 )
 
 unit = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -30,6 +32,37 @@ def test_torus_point_wraps():
 def test_wrap01_clamps_near_one():
     # 1 - eps/2 rounds to 1.0 after floor subtraction of a tiny negative
     assert wrap01(-1e-17) == 0.0
+
+
+# every finite double: hypothesis's floats, subnormals included, and uniform bit patterns
+_finite_double = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(math.isfinite),
+)
+_EDGE_VALUES = [-1e-17, -0.0, 1.0 - 2.0**-53, -(2.0**60), 1.7e308, -1.7e308]
+
+
+@st.composite
+def _finite_arrays(draw):
+    shape = draw(st.one_of(
+        st.just(()), st.tuples(st.integers(0, 12)), st.tuples(*[st.integers(1, 3)] * 3)))
+    values = draw(st.lists(_finite_double, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_finite_arrays())
+@example(np.array(-1e-17))  # 1 - 1e-17 rounds to 1.0: the clamp
+@example(np.array(-0.0))
+@example(np.array(_EDGE_VALUES))
+@example(np.array(_EDGE_VALUES).reshape(1, 2, 3))
+def test_wrap01_array_equals_wrap01_to_the_bit(v):
+    got = wrap01_array(v)
+    want = np.array([wrap01(c) for c in v.reshape(-1).tolist()]).reshape(v.shape)
+    assert isinstance(got, np.ndarray) and got.shape == v.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_torus_point_immutable():

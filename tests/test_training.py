@@ -1,13 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plateaulab import training
-from plateaulab.circuits import ShiftedProductFunction
+from plateaulab.circuits import ShiftedProductFunction, shifted_product_rows
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import RandomStack, clamp_to_plateau, coupled_sample, sample_query
-from plateaulab.torus import GridShift, TorusPoint, wrap01_array
+from plateaulab.rng import stream_bases, uniforms_at
+from plateaulab.torus import GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
 from plateaulab.training import (
     PSHIFT_SHIFT,
     PSHIFT_STEP,
@@ -359,3 +363,141 @@ def test_random_exit_time_evaluates_no_f():
         patch.setattr(training, "shifted_product_rows", refuse)
         got = exit_time_chunk("random", 6, 30, 0, 500, 4)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    seed=st.integers(-(2**65), 2**65),
+    done=st.one_of(st.integers(0, 40), st.integers(0, 2**40)),
+    width=st.integers(1, 100),
+    # 1/3: |h| >= level on the positive lobe only; below 1/3, on both lobes
+    level=st.one_of(st.none(), st.sampled_from([1 / 3, 1.0, np.inf]),
+                    st.floats(0.0, 1 / 3, exclude_max=True)),
+    answers=st.booleans(),
+    shifts=st.lists(st.integers(0, 3**8 - 1), min_size=1, max_size=6),
+    exits=st.lists(st.booleans(), min_size=6, max_size=6),
+)
+@example(n=8, seed=1, done=0, width=100, level=0.1, answers=False,
+         shifts=[5, 0, 6560, 17], exits=[True, False, False, True, False, False])
+@example(n=5, seed=2, done=2**40, width=37, level=1 / 3, answers=True,
+         shifts=[242, 1, 100], exits=[False, True, True, False, False, False])
+@example(n=7, seed=4, done=3, width=60, level=1.0, answers=True,
+         shifts=[0, 2186], exits=[True, True, False, False, False, False])
+@example(n=1, seed=3, done=7, width=1, level=None, answers=True,
+         shifts=[2], exits=[True] * 6)
+def test_random_cells_equal_whole_points(n, seed, done, width, level, answers, shifts, exits):
+    # _random_cells against the same cells built point by point: draws
+    # 1 + (n+1)(done+q) + j of each row's stream, j = 0..n, with the whole
+    # product shifted_product_rows and the far count far_count_array
+    rows = len(shifts)
+    exits = np.array(exits[:rows])
+    trits = index_trits(np.array(shifts) % 3**n, n)
+    bases = stream_bases(seed, np.arange(rows))
+    fx, inside, r = training._random_cells(n, bases, trits, done, width, level, exits, answers)
+    draws = 1 + (n + 1) * np.arange(done, done + width)[:, None] + np.arange(n + 1)
+    u = uniforms_at(bases[:, None, None], draws)  # (rows, width, n + 1)
+    x = (u[..., :n] + 1.0) / 2.0
+    assert inside.shape == (rows, width)
+    assert np.array_equal(inside[exits], (far_count_array(x, trits[:, None, :]) > n / 2)[exits])
+    if answers:
+        assert r.tobytes() == u[..., n].tobytes()
+    else:
+        assert r is None
+    if level is None:
+        assert fx is None
+        return
+    f = shifted_product_rows(x, trits[:, None, :])
+    floor = np.minimum(np.abs(u[..., n]), level) if answers else np.full(f.shape, level)
+    decided = np.abs(f) >= floor
+    assert fx.shape == (rows, width)
+    assert fx[decided].tobytes() == f[decided].tobytes()
+    assert np.all(np.abs(fx[~decided]) < floor[~decided])
+
+
+@pytest.mark.parametrize(
+    "chunk, args",
+    [
+        (trainer_trials_chunk, ("random", 7, default_alpha(7), 3000, 0, 1000, 5)),
+        (exit_time_chunk, ("random", 8, 50, 0, 1000, 5)),
+        (divergence_chunk, ("random", 6, 10, 0.0, 0, 1000, 5)),
+    ],
+)
+def test_random_search_chunk_peak_traced_allocation(chunk, args):
+    tracemalloc.start()
+    try:
+        chunk(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * training.BLOCK_BYTES, peak / training.BLOCK_BYTES
+
+
+# Exact laws of random search.  Its queries are iid uniform points, so a trial
+# succeeds at each query with one probability p, and diverges at each query
+# with one probability q.  Each run's deviation from its law is bounded at
+# level LAW_BETA; the trial counts and seeds were fixed before the first run.
+LAW_BETA = 1e-6
+TRAIN_LAW_TRIALS, TRAIN_LAW_SEED, TRAIN_LAW_BUDGET = 4000, 1618, 200_000
+TRAIN_LAW_EPS = math.sqrt(math.log(2 / LAW_BETA) / (2 * TRAIN_LAW_TRIALS))  # 0.0426
+DIVERGE_LAW_TRIALS, DIVERGE_LAW_SEED = 200_000, 577
+
+
+def _success_bracket(n, t, bins=4096):
+    """[lo, hi] around p = P(f_0(U) >= t) for U uniform on the n-torus, t > 1/3.
+
+    Every factor must then be positive (a negative one has |h| <= 1/3), so
+    p = P(Y_1 + ... + Y_n <= L) with Y_j = -log h(U_j) >= 0 and L = -log t,
+    and each term's law is closed form: P(Y_j <= y) = G(-y) with
+    G(s) = arccos((3e^s - 1)/2)/pi.  Cut [0, L] into equal bins; moving each
+    bin's mass to its left end can only raise p, and to its right end only
+    lower it.  The n-fold convolution of the bin masses is taken by FFT, with
+    a margin far above its rounding error.
+    """
+    edges = np.linspace(0.0, -math.log(t), bins + 1)
+    mass = np.diff(np.arccos((3.0 * np.exp(-edges) - 1.0) / 2.0) / np.pi)
+    sums = np.fft.irfft(np.fft.rfft(mass, n * bins) ** n, n * bins)  # P(sum of bin indices = s)
+    margin = 1e-9
+    return sums[: bins - n + 1].sum() - margin, sums[: bins + 1].sum() + margin
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_random_search_success_time_follows_its_exact_law(n):
+    # T_A is geometric with p in [lo, hi]: against the empirical CDF with the
+    # DKW-Massart bound P(sup_m |F_hat(m) - F(m)| > eps) <= 2 exp(-2 N eps^2)
+    alpha = default_alpha(n)
+    lo, hi = _success_bracket(n, 1.0 - alpha)
+    rows = trainer_sweep("random", n, alpha, TRAIN_LAW_BUDGET, TRAIN_LAW_TRIALS, TRAIN_LAW_SEED,
+                         workers=2)
+    assert all(succeeded for _, _, succeeded, _ in rows)  # a censored run has chance < e^-70
+    times = np.sort([queries for _, queries, _, _ in rows])
+    m = np.arange(1, times[-1] + 1)
+    cdf = np.searchsorted(times, m, side="right") / TRAIN_LAW_TRIALS
+    assert np.max(cdf + np.expm1(m * math.log1p(-hi))) <= TRAIN_LAW_EPS  # F_hat - F_hi
+    assert np.max(-np.expm1(m * math.log1p(-lo)) - cdf) <= TRAIN_LAW_EPS  # F_lo - F_hat
+
+
+def _binomial_tails(count, trials, p):
+    """P(X <= count) and P(X >= count) for X ~ Bin(trials, p), from the log
+    pmf's recurrence pmf(k+1) / pmf(k) = (trials - k) / (k + 1) * p / (1 - p)."""
+    k = np.arange(trials)
+    steps = np.log((trials - k) / (k + 1)) + math.log(p / (1 - p))
+    pmf = np.exp(trials * math.log1p(-p) + np.concatenate([[0.0], np.cumsum(steps)]))
+    return pmf[: count + 1].sum(), pmf[count:].sum()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(("n", "m"), [(4, 10), (5, 30)])
+def test_random_search_divergence_follows_its_exact_law(n, m, workers):
+    # at eta = 0 a query diverges when it is inside and r lies between 0 and
+    # f(x), with probability E[1{inside} |f|] / 2; both factor over the
+    # coordinates, with A and B the integrals of |h| over FAR and NEAR
+    a = math.sqrt(3) / (3 * math.pi)
+    b = 1 / 9 + a
+    q = sum(math.comb(n, k) * a**k * b ** (n - k) for k in range(n // 2 + 1, n + 1)) / 2
+    rate = 1 - (1 - q) ** m
+    phat, _ = divergence_experiment("random", n, m, DIVERGE_LAW_TRIALS, 0.0, DIVERGE_LAW_SEED,
+                                    workers)
+    count = round(phat * DIVERGE_LAW_TRIALS)
+    below, above = _binomial_tails(count, DIVERGE_LAW_TRIALS, rate)
+    assert min(below, above) > LAW_BETA / 2, (phat, rate)
