@@ -69,30 +69,16 @@ class ShiftedProductFunction:
         return self.shift.to_point()
 
 
-def shifted_product_rows(
-    points: np.ndarray, trits: np.ndarray | tuple[int, ...], floor=0.0
-) -> np.ndarray:
+def shifted_product_rows(points: np.ndarray, trits: np.ndarray | tuple[int, ...]) -> np.ndarray:
     """f_a(x) for each point x of `points`, shape (..., n); `trits` has shape
-    (n,) (one shift a) or holds one row a per point.  The float operations
-    are ShiftedProductFunction.__call__'s, in its order, so for points in
-    [0, 1) every value equals f_a(TorusPoint(x)) to the bit.
-
-    `floor` (a scalar or one per point) lets a value stop early: once the
-    running product p has |p| < floor, the rest of the factors are skipped
-    and p is returned.  As |h| <= 1 and rounding is monotone, |f| <= |p|, so
-    p >= t and t < p answer as f does for every t with |t| >= floor.  A
-    value with |f| >= floor is never cut short; floor=0 cuts nothing.
-    """
-    d = np.asarray(points, dtype=np.float64) - np.asarray(trits) / 3.0
-    shape = d.shape[:-1]
-    d = d.reshape(-1, d.shape[-1])
-    floor = np.broadcast_to(floor, shape).reshape(-1)
-    out = h_eval_array(wrap01_array(d[:, 0]))  # 1.0 * h_0 == h_0
-    live = np.arange(len(out))
-    for j in range(1, d.shape[1]):
-        live = live[np.abs(out[live]) >= floor[live]]
-        out[live] *= h_eval_array(wrap01_array(d[live, j]))
-    return out.reshape(shape)
+    (n,) (one shift a) or holds one row a per point.  The plain product: the
+    float operations of ShiftedProductFunction.__call__, in its order, so for
+    points in [0, 1) every value equals f_a(TorusPoint(x)) to the bit."""
+    d = wrap01_array(np.asarray(points, dtype=np.float64) - np.asarray(trits) / 3.0)
+    out = h_eval_array(d[..., 0])  # 1.0 * h_0 == h_0
+    for j in range(1, d.shape[-1]):
+        out *= h_eval_array(d[..., j])
+    return out
 
 
 def single_qubit_unitary(t: float) -> np.ndarray:

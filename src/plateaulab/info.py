@@ -35,6 +35,13 @@ def _block_rows(n: int) -> int:
     return max(1, BLOCK_BYTES // (8 * GRID_BASE**n))
 
 
+def _check_table(n: int) -> None:
+    """Refuse a 3**n candidate row above IDENTIFY_N_CAP before it is built."""
+    if check_n(n) > IDENTIFY_N_CAP:
+        raise ValueError(f"n={n} exceeds candidate-table cap {IDENTIFY_N_CAP}: a row of"
+                         f" 3^{n} candidates needs about {32e-9 * GRID_BASE**n:.3g} GB")
+
+
 def candidate_block(points: np.ndarray) -> np.ndarray:
     """(rows, 3**n) values f_a(x) of every shift a at each row x of the
     (rows, n) `points`, in posterior index order.
@@ -45,13 +52,14 @@ def candidate_block(points: np.ndarray) -> np.ndarray:
     ShiftedProductFunction.__call__, so for points in [0, 1) each value
     equals f_a(TorusPoint(x)) to the bit.
     """
+    _check_table(points.shape[1])
     # h(wrap01(x_j - t/3)) for each row, coordinate j and trit t
     return _tensor_product(h_eval_array(wrap01_array(points[:, :, None] - _TRIT_SHIFTS)))
 
 
 def _tensor_product(htab: np.ndarray) -> np.ndarray:
-    """candidate_block's products from its (rows, n, 3) h-factor table; at n = 1 a view of it."""
-    vals = htab[:, 0, :]
+    """candidate_block's products from its (rows, n, 3) h-factors; n = 1: a view, n = 0: ones."""
+    vals = htab[:, 0, :] if htab.shape[1] else np.ones((len(htab), 1))
     for j in range(1, htab.shape[1]):
         vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(len(htab), GRID_BASE**(j + 1))
     return vals
@@ -80,6 +88,7 @@ class Posterior:
 
     @classmethod
     def uniform(cls, n: int) -> "Posterior":
+        _check_table(n)
         size = GRID_BASE**n
         return cls(n, np.full(size, 1.0 / size))
 
@@ -246,8 +255,7 @@ def mi_transcript_chunk(
             x = (u[..., :n] + 1.0) / 2.0 if points is None else points[None, q0 : q0 + k]
             htab = h_eval_array(wrap01_array(x[..., None] - _TRIT_SHIFTS))  # (rows or 1, k, n, 3)
             head = htab[..., :-1, :].reshape(len(htab) * k, n - 1, GRID_BASE)
-            prefix = _tensor_product(head) if n > 1 else np.ones((len(head), 1))  # 1.0 * h: exact
-            prefix = prefix.reshape(len(htab), k, low)
+            prefix = _tensor_product(head).reshape(len(htab), k, low)
             # the hidden shift's value: its prefix entry times its top factor, math.prod's order
             f = (np.take_along_axis(prefix, (hidden % low)[:, None, None], 2)[..., 0]
                  * np.take_along_axis(htab[..., -1, :], (hidden // low)[:, None, None], 2)[..., 0])

@@ -9,7 +9,10 @@ bounds under test quantify over every training algorithm.
 Each trainer is one `points` and one `update` function of a round: the
 queries whose points are fixed before any of their answers.  `_lockstep`
 runs every trial of a chunk through them together; `run_trainer` runs
-them on one row, query by query, as the reference.
+them on one row, query by query, as the reference.  Each lockstep step
+computes f and inside of its cells with `_cells`: random search passes the
+cells' advanced streams and (u + 1) / 2 draw, SPSA and parameter-shift the
+round's wrapped points, flattened to cells.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from ._parallel import run_chunks
-from .circuits import ShiftedProductFunction, h_eval_array, shifted_product_rows
+from .circuits import ShiftedProductFunction, h_eval_array
 from .game import CdfRow, PlateauRegion, cdf_rows, check_n, delta_bound, p_exact_fraction
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
@@ -154,55 +157,52 @@ def run_trainer(
         x = update(algo, x, k, u, np.array([answers]))
 
 
-def _random_cells(n, bases, trits, done, width, level, exits, answers):
-    """f, inside and r of random search's queries done+1..done+width, each
-    (rows, width).  Cell (row, q) reads draw 1 + (n+1)(done+q) + j of its
-    row's stream as x_j, and draw j = n as r.  Coordinate 0 and r are one
-    broadcast draw over every cell.  Coordinate j >= 1 is drawn for every
-    cell of the rows in `exits`, whose inside is read (elsewhere inside
-    means nothing), and for the cells whose f is undecided (|p| >= floor):
-    compacted arrays of their flat index, advanced stream, floor and running
-    product p, which shrink once per coordinate.  The float operations are
-    points', shifted_product_rows' and far_coords', so each value read is
-    theirs to the bit."""
-    def coordinate(s, j):  # (u + 1) / 2 is in [0, 1): points' wrap is a no-op
-        x = uniforms_at(s, j)
-        x += 1.0
-        x /= 2.0
-        return x
+def _drawn(s, j):  # x_j of random search's cells with advanced streams s, in [0, 1): no wrap
+    x = uniforms_at(s, j)
+    return np.divide(np.add(x, 1.0, out=x), 2.0, out=x)
 
-    # draw j of cell (row, q) is uniforms_at(s[row, q], j)
-    s = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
-    r = uniforms_at(s, n) if answers else None
-    x = coordinate(s, 0)
-    every = exits.all()
-    need = slice(None) if every else np.flatnonzero(exits)  # the rows whose inside is read
-    sn, tn = s[need], trits[need]
-    far = far_coords(x[need], tn[:, :1]).astype(np.int64)
+
+def _cells(n, key, coord, trits, floor, need):
+    """f and inside of a step's (rows, width) cells: cell (row, q) has key
+    key[row, q] and shift trits[row], and coord(k, j) gives x_j, in [0, 1),
+    of the cells whose keys are k.  f (None if floor is None) is cut at
+    floor, a scalar or one per cell: the cells whose running product p has
+    |p| >= floor are compacted arrays of flat index, key, floor and p that
+    shrink once per coordinate, and a cell leaves with p.  As |h| <= 1 and
+    rounding is monotone, |f| <= |p|, so p answers p >= t and t < p as f
+    does for |t| >= floor, and is shifted_product_rows' f if |f| >= floor.
+    inside is far_coords' count on the rows `need`, False elsewhere; if every
+    row is needed, the undecided cells read the coordinate drawn for it."""
+    rows, width = key.shape
+    x = coord(key, 0)
+    far, every = None, len(need) == rows
+    if len(need):
+        need = slice(None) if every else need  # a view where every row is needed
+        kn, tn = key[need], trits[need]
+        far = far_coords(x[need], tn[:, :1]).astype(np.int64)
     fx, cell = None, np.arange(0)  # cell: the flat cells whose f is undecided
     shift = trits / 3.0  # the a_j that points subtract, per row
-    if level is not None:
+    if floor is not None:
         fx = h_eval_array(wrap01_array(x - shift[:, :1]))
-        floor = level if r is None else np.minimum(np.abs(r), level).reshape(-1)
         p = flat = fx.reshape(-1)
-        cell, s = np.arange(fx.size), s.reshape(-1)
+        cell, key, per_cell = np.arange(fx.size), key.reshape(-1), np.ndim(floor) > 0
+        floor = np.reshape(floor, -1)  # (1,) for one floor for every cell
     for j in range(1, n):
-        if far.size:
-            x = coordinate(sn, j)
+        if far is not None:
+            x = coord(kn, j)
             far += far_coords(x, tn[:, j, None])
         if len(cell):
-            keep = np.flatnonzero(np.abs(p) >= floor)  # faster than a mask for 2+ arrays
+            keep = (np.abs(p) >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
             cell, p = cell[keep], p[keep]
-            if r is not None:
-                floor = floor[keep]
-            if not every:
-                s = s[keep]
-            xj = x.reshape(-1)[cell] if every else coordinate(s, j)
-            p *= h_eval_array(wrap01_array(xj - shift[:, j][cell // width]))
+            floor = floor[keep] if per_cell else floor
+            key = key if every else key[keep]
+            xj = x.reshape(-1)[cell] if every else coord(key, j)
+            p *= h_eval_array(wrap01_array(xj - shift[cell // width, j]))
             flat[cell] = p
-    inside = np.zeros((len(bases), width), dtype=bool)
-    inside[need] = far > n / 2
-    return fx, inside, r
+    inside = np.zeros((rows, width), dtype=bool)
+    if far is not None:
+        inside[need] = far > n / 2
+    return fx, inside
 
 
 def _lockstep(
@@ -219,9 +219,9 @@ def _lockstep(
     and values of magnitude >= level (None: not at all), inside at every
     query or only until a trial's first exit, r only if `answers`.  SPSA and
     parameter-shift read all three in their update, so each of their steps
-    is one round; random search has none, so it draws only what stop reads
-    (_random_cells).  Returns per trial the query that stopped it and its
-    first query outside the hidden plateau up to then, 0 for none.
+    is one round; random search has none, so it draws only what stop reads.
+    Returns per trial the query that stopped it and its first query outside
+    the hidden plateau up to then, 0 for none.
     """
     draws, per_round = _round_shape(algo, n)
     stopped = np.zeros(count, dtype=np.int64)
@@ -241,15 +241,20 @@ def _lockstep(
             if x is None:  # as many queries as the step holds, at most done + 1 of
                 # them, so a trial stopped at query q costs at most 2q cells
                 width = min(block // len(rows), m - done, done + 1)
-                exits = (first_exit[rows] == 0) | every_inside
-                fx, inside, r = _random_cells(n, bases, trits, done, width, level, exits, answers)
+                # draw j of cell (row, q) is uniforms_at(key[row, q], j)
+                key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
+                r = uniforms_at(key, n) if answers else None
+                coord, need = _drawn, ((first_exit[rows] == 0) | every_inside).nonzero()[0]
             else:
                 width = per_round
                 u = uniform_block(bases, 1 + n + (k - 1) * (draws + per_round), draws + per_round)
-                u, r = np.hsplit(u, [draws])
+                u, r = u[:, :draws], u[:, draws:]
                 pts = wrap01_array(points(algo, x, k, u))
-                floor = np.minimum(np.abs(r), np.inf if level is None else level)
-                fx = shifted_product_rows(pts, trits[:, None, :], floor)
+                cells, key = pts.reshape(-1, n), np.arange(pts.size // n).reshape(-1, width)
+                coord, need = (lambda c, j: cells[c, j]), ()  # key: the cell's row in cells
+            floor = level if r is None else np.minimum(abs(r), np.inf if level is None else level)
+            fx, inside = _cells(n, key, coord, trits, floor, need)
+            if x is not None:  # FAR summed over the whole block: faster than per coordinate
                 inside = far_count_array(pts, trits[:, None, :]) > n / 2
             q = np.arange(done + 1, done + width + 1)  # query numbers
             hit = stop(fx, inside, r) & (q <= m)

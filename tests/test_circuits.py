@@ -16,6 +16,7 @@ from plateaulab.circuits import (
     tensor_sim,
 )
 from plateaulab.torus import GridShift, TorusPoint, bohr_dist
+from plateaulab.training import _cells
 
 
 def test_phi_in_range_and_hamiltonian_unit_eigenvalues():
@@ -132,7 +133,7 @@ def test_tensor_sim_cap():
 
 
 def test_h_eval_array_magnitude_at_most_one():
-    # the premise of shifted_product_rows' floor: no factor grows |f|
+    # the premise of training._cells' floor: no factor grows |f|
     anchors = np.array([0.0, 1 / 3, -1 / 3, 2 / 3, -2 / 3])
     t = np.concatenate([anchors, np.nextafter(anchors, 1.0), np.nextafter(anchors, -1.0)])
     assert np.all(np.abs(h_eval_array(t)) <= 1.0)
@@ -157,7 +158,7 @@ def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
     if not per_row:
         trits = trits[0]
     f = shifted_product_rows(points, trits)
-    # floor=0 is ShiftedProductFunction.__call__, bit for bit
+    # the plain product is ShiftedProductFunction.__call__, bit for bit
     shifts = trits if per_row else [trits] * rows
     want = [ShiftedProductFunction(n, GridShift(tuple(int(t) for t in a)))(TorusPoint(x))
             for x, a in zip(points, shifts)]
@@ -175,7 +176,13 @@ def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
             a = trits[i] if per_row else trits
             floors.append(abs(shifted_product_rows(points[i, :j], a[:j])))
     floors = np.array(floors)
-    v = shifted_product_rows(points, trits, floors)
+
+    def cut(floor):  # _cells with one cell per point, keyed by its row
+        key = np.arange(rows)[:, None]
+        fx, _ = _cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor, ())
+        return fx[:, 0]
+
+    v = cut(floors)
     exact = np.abs(f) >= floors
     assert np.array_equal(v[exact], f[exact])
     sign = np.where(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), 1.0, -1.0)
@@ -184,7 +191,7 @@ def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
         assert np.array_equal(v >= t, f >= t)
         assert np.array_equal(t < v, t < f)
     # one floor for every row
-    v1 = shifted_product_rows(points, trits, floors[0])
+    v1 = cut(floors[0])
     keep = np.abs(f) >= floors[0]
     assert np.array_equal(v1[keep], f[keep])
     for t in (floors[0], -floors[0]):

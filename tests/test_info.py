@@ -175,6 +175,22 @@ def test_mi_caps():
         transcript_mi(9, "uniform", 1, 10, seed=0)
 
 
+def test_candidate_tables_refused_above_the_identify_cap():
+    # n = 14 only: unchecked, these tables take about 0.2 GB at most
+    match = r"^n=14 exceeds candidate-table cap 13: a row of 3\^14 candidates needs about 0.153 GB$"
+    point = TorusPoint([0.1] * 14)
+    f = ShiftedProductFunction(14, GridShift.zero(14))
+    for build in (
+        lambda: candidate_block(point.array()[None, :]),
+        lambda: candidate_values(14, point),
+        lambda: Posterior.uniform(14),
+        lambda: mi_exact_enumeration(14, [point]),
+        lambda: omnipotent_identify(14, f, RandomStack(3)),
+    ):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 def test_mi_refuses_a_callable_strategy():
     def strat(round_idx, stack, outcomes):
         return TorusPoint([0.2])

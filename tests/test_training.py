@@ -10,7 +10,7 @@ from plateaulab import training
 from plateaulab.circuits import ShiftedProductFunction, shifted_product_rows
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import RandomStack, clamp_to_plateau, coupled_sample, sample_query
-from plateaulab.rng import stream_bases, uniforms_at
+from plateaulab.rng import advance, stream_bases, uniforms_at
 from plateaulab.torus import GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
 from plateaulab.training import (
     PSHIFT_SHIFT,
@@ -173,7 +173,7 @@ def test_batched_random_path_matches_query_loop():
     budget=st.integers(1, 40),
 )
 @example(algo="spsa", n=1, seed=0, start=0, count=60, alpha=0.1, budget=3)  # exits at query 4
-# targets 1 - alpha where shifted_product_rows' floor is min(|r|, |target|):
+# targets 1 - alpha where _cells' floor is min(|r|, |target|):
 # -0.5 and -0.95 (every f >= -1/3 hits), and 0.05 (small and positive)
 @example(algo="pshift", n=6, seed=3, start=0, count=60, alpha=1.5, budget=40)
 @example(algo="spsa", n=8, seed=-7, start=2**40, count=60, alpha=1.95, budget=40)
@@ -360,7 +360,6 @@ def test_random_exit_time_evaluates_no_f():
             want[q - 1] += 1
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "h_eval_array", refuse)
-        patch.setattr(training, "shifted_product_rows", refuse)
         got = exit_time_chunk("random", 6, 30, 0, 500, 4)
     assert np.array_equal(got, want)
 
@@ -387,14 +386,18 @@ def test_random_exit_time_evaluates_no_f():
 @example(n=1, seed=3, done=7, width=1, level=None, answers=True,
          shifts=[2], exits=[True] * 6)
 def test_random_cells_equal_whole_points(n, seed, done, width, level, answers, shifts, exits):
-    # _random_cells against the same cells built point by point: draws
-    # 1 + (n+1)(done+q) + j of each row's stream, j = 0..n, with the whole
-    # product shifted_product_rows and the far count far_count_array
+    # _cells on random search's advanced streams against the same cells built
+    # point by point: draws 1 + (n+1)(done+q) + j of each row's stream,
+    # j = 0..n, with the plain product shifted_product_rows and the far count
+    # far_count_array
     rows = len(shifts)
     exits = np.array(exits[:rows])
     trits = index_trits(np.array(shifts) % 3**n, n)
     bases = stream_bases(seed, np.arange(rows))
-    fx, inside, r = training._random_cells(n, bases, trits, done, width, level, exits, answers)
+    key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
+    r = uniforms_at(key, n) if answers else None
+    floor = None if level is None else level if r is None else np.minimum(np.abs(r), level)
+    fx, inside = training._cells(n, key, training._drawn, trits, floor, np.flatnonzero(exits))
     draws = 1 + (n + 1) * np.arange(done, done + width)[:, None] + np.arange(n + 1)
     u = uniforms_at(bases[:, None, None], draws)  # (rows, width, n + 1)
     x = (u[..., :n] + 1.0) / 2.0
@@ -421,6 +424,9 @@ def test_random_cells_equal_whole_points(n, seed, done, width, level, answers, s
         (trainer_trials_chunk, ("random", 7, default_alpha(7), 3000, 0, 1000, 5)),
         (exit_time_chunk, ("random", 8, 50, 0, 1000, 5)),
         (divergence_chunk, ("random", 6, 10, 0.0, 0, 1000, 5)),
+        (divergence_chunk, ("spsa", 12, 10, 0.0, 0, 1000, 5)),
+        (exit_time_chunk, ("pshift", 8, 50, 0, 1000, 5)),
+        (trainer_trials_chunk, ("pshift", 12, default_alpha(12), 3000, 0, 200, 5)),
     ],
 )
 def test_random_search_chunk_peak_traced_allocation(chunk, args):
