@@ -12,6 +12,7 @@ independently (exact 2x2 matrix exponential, strided gate application).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -111,8 +112,15 @@ def tensor_sim(f: ShiftedProductFunction, x: TorusPoint) -> float:
         u = single_qubit_unitary(x.coords[j] - f.shift.trits[j] / 3.0)
         s = state.reshape(2 ** (n - 1 - j), 2, 2**j)
         state = np.einsum("ab,ibj->iaj", u, s).reshape(-1)
+    return float(np.sum(_z_parity(n) * np.abs(state) ** 2))
+
+
+@functools.cache
+def _z_parity(n: int) -> np.ndarray:
+    """Eigenvalue of Z on every qubit, prod_j (-1)^(bit j), per basis state (read-only)."""
     idx = np.arange(2**n)
     parity = np.ones(2**n)
     for j in range(n):
         parity *= 1 - 2 * ((idx >> j) & 1)
-    return float(np.sum(parity * np.abs(state) ** 2))
+    parity.flags.writeable = False
+    return parity

@@ -5,8 +5,9 @@ number of workers, in any chunking, and still reproduce byte-for-byte.
 The generator is SplitMix64 over a counter: fast, vectorizable, and good
 enough statistically for Monte Carlo at desk scale.  `uniform_block` draws
 the same values for many streams at once, one row per stream, and
-`uniforms_at` any set of (stream, draw) cells, and `advance` moves a stream
-on by a number of draws.
+`uniforms_at` any set of (stream, draw) cells (`unit_uniforms_at` maps them
+to [0, 1) as (u + 1) / 2), and `advance` moves a stream on by a number of
+draws.
 """
 from __future__ import annotations
 
@@ -46,14 +47,20 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix_uniforms(base, idx: np.ndarray) -> np.ndarray:
-    """Draws idx - 1 on [-1, +1) of the streams whose SplitMix64 bases are
-    `base`, broadcast against the uint64 array idx (scaled in place)."""
+def _splitmix_bits(base, idx: np.ndarray) -> np.ndarray:
+    """The 53-bit integers z behind draws idx - 1 of the streams whose
+    SplitMix64 bases are `base`, broadcast against the uint64 array idx
+    (scaled in place): draw = z * 2**-52 - 1."""
     idx *= _GOLDEN_U
     z = _mix64_array(base + idx)
     z >>= _S11
+    return z
+
+
+def _splitmix_uniforms(base, idx: np.ndarray) -> np.ndarray:
+    """Draws idx - 1 on [-1, +1), of _splitmix_bits' arguments."""
     # 2 * (z * 2**-53) - 1: both power-of-two scalings are exact
-    u = z * 2.0**-52
+    u = _splitmix_bits(base, idx) * 2.0**-52
     u -= 1.0
     return u
 
@@ -63,6 +70,13 @@ def uniforms_at(bases, draws) -> np.ndarray:
     is a uint64 array first, as products of numpy scalars would warn."""
     idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
     return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64), idx)
+
+
+def unit_uniforms_at(bases, draws) -> np.ndarray:
+    """(uniforms_at(bases, draws) + 1) / 2 to the bit, in [0, 1): z * 2**-53,
+    as each step of that map is exact on the multiples of 2**-52 in [-1, 1)."""
+    idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
+    return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx) * 2.0**-53
 
 
 def advance(bases, draws) -> np.ndarray:

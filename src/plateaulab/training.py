@@ -12,7 +12,10 @@ runs every trial of a chunk through them together; `run_trainer` runs
 them on one row, query by query, as the reference.  Each lockstep step
 computes f and inside of its cells with `_cells`: random search passes the
 cells' advanced streams and (u + 1) / 2 draw, SPSA and parameter-shift the
-round's wrapped points, flattened to cells.
+round's wrapped points, flattened to cells.  `_cells` reads f only against a
+floor, so it evaluates h only where |f| can still reach it: with one floor
+for every cell, only on coordinate 0's band, and once at most TAIL cells
+are undecided, it multiplies out their remaining coordinates as one block.
 """
 from __future__ import annotations
 
@@ -28,7 +31,9 @@ from .circuits import ShiftedProductFunction, h_eval_array
 from .game import CdfRow, PlateauRegion, cdf_rows, check_n, delta_bound, p_exact_fraction
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
-from .rng import BLOCK_BYTES, advance, index_block, stream_bases, uniform_block, uniforms_at
+from .rng import (
+    BLOCK_BYTES, advance, index_block, stream_bases, uniform_block, uniforms_at, unit_uniforms_at,
+)
 from .torus import (
     GRID_BASE, GridShift, TorusPoint, far_coords, far_count_array, index_trits, wrap01_array,
 )
@@ -77,7 +82,10 @@ def points(algo: str, x, k: int, u: np.ndarray) -> np.ndarray:
         return ((u + 1.0) / 2.0)[:, None, :]
     if algo == "spsa":
         step = SPSA_C / k**SPSA_GAMMA_EXP * np.where(u < 0.0, -1.0, 1.0)
-        return np.stack([x + step, x - step], axis=1)
+        out = np.empty((len(x), 2, x.shape[-1]))  # np.stack's rows, in fewer calls
+        np.add(x, step, out=out[:, 0])
+        np.subtract(x, step, out=out[:, 1])
+        return out
     n = x.shape[-1]  # pshift: rows +e_j/4 and -e_j/4, j = 0..n-1
     return x[:, None, :] + PSHIFT_SHIFT * np.kron(np.eye(n), [[1.0], [-1.0]])
 
@@ -157,20 +165,43 @@ def run_trainer(
         x = update(algo, x, k, u, np.array([answers]))
 
 
-def _drawn(s, j):  # x_j of random search's cells with advanced streams s, in [0, 1): no wrap
-    x = uniforms_at(s, j)
-    return np.divide(np.add(x, 1.0, out=x), 2.0, out=x)
+TAIL = 256  # undecided cells from which _cells multiplies out f as one block (measured)
+BAND_DELTA = 1e-9  # margin of the coordinate-0 band, far above h's float error
+
+
+def _band(d, floor):
+    """Indices of the wrapped coordinates d at which |h(d)| can reach floor > 0:
+    s = |d - 1/2| >= lo (h >= floor - BAND_DELTA) or s <= hi (h <= -(floor -
+    BAND_DELTA)), from h = 1/3 + (2/3) cos(2 pi d) and cos(2 pi d) = -cos(2 pi s)."""
+    c = 1.5 * (floor - BAND_DELTA)
+    lo, hi = (0.5 - math.acos(min(max(v, -1.0), 1.0)) / (2.0 * math.pi)
+              for v in (c - 0.5, -c - 0.5))
+    s = np.abs(d - 0.5)
+    return ((s >= lo) | (s <= hi)).nonzero()[0]
 
 
 def _cells(n, key, coord, trits, floor, need):
     """f and inside of a step's (rows, width) cells: cell (row, q) has key
     key[row, q] and shift trits[row], and coord(k, j) gives x_j, in [0, 1),
-    of the cells whose keys are k.  f (None if floor is None) is cut at
-    floor, a scalar or one per cell: the cells whose running product p has
-    |p| >= floor are compacted arrays of flat index, key, floor and p that
-    shrink once per coordinate, and a cell leaves with p.  As |h| <= 1 and
-    rounding is monotone, |f| <= |p|, so p answers p >= t and t < p as f
-    does for |t| >= floor, and is shifted_product_rows' f if |f| >= floor.
+    of the cells whose keys are k (k and j broadcast).
+
+    f (None if floor is None) is cut at floor, a scalar or one per cell: the
+    cells whose running product p has |p| >= floor are compacted arrays of
+    flat index, key, floor and p that shrink once per coordinate, and a cell
+    leaves with p.  As |h| <= 1 and rounding is monotone, |f| <= |p|, so p
+    answers p >= t and t < p as f does for |t| >= floor, and is
+    shifted_product_rows' f if |f| >= floor.  Once at most TAIL cells are
+    left, their remaining coordinates are drawn as one block and multiplied
+    in coordinate order: the plain product, so their f is exact.
+
+    A scalar floor F > 0 first bands coordinate 0: h runs only on the cells
+    _band keeps, and every other cell reads 0.0.  Those cells have |h(d_0)| <
+    F - BAND_DELTA up to the band's rounding, a few 1e-16 in s and so about
+    1e-15 in h; with h's float error below 3e-15, |fl(h)| < F, so the cut
+    above would stop them at p = fl(h) anyway, and 0.0 answers p >= t and
+    t < p as p does for |t| >= F > 0.  Per-cell floors skip the band, as one
+    arccos per cell costs as much as the cos it would save.
+
     inside is far_coords' count on the rows `need`, False elsewhere; if every
     row is needed, the undecided cells read the coordinate drawn for it."""
     rows, width = key.shape
@@ -183,9 +214,17 @@ def _cells(n, key, coord, trits, floor, need):
     fx, cell = None, np.arange(0)  # cell: the flat cells whose f is undecided
     shift = trits / 3.0  # the a_j that points subtract, per row
     if floor is not None:
-        fx = h_eval_array(wrap01_array(x - shift[:, :1]))
-        p = flat = fx.reshape(-1)
-        cell, key, per_cell = np.arange(fx.size), key.reshape(-1), np.ndim(floor) > 0
+        d = wrap01_array(x - shift[:, :1])
+        key, per_cell = key.reshape(-1), np.ndim(floor) > 0
+        if per_cell or not floor > 0:
+            fx = h_eval_array(d)
+            p = flat = fx.reshape(-1)
+            cell = np.arange(fx.size)
+        else:
+            cell = _band(d.reshape(-1), floor)
+            fx = np.zeros((rows, width))
+            flat, key = fx.reshape(-1), key if every else key[cell]
+            p = flat[cell] = h_eval_array(d.reshape(-1)[cell])
         floor = np.reshape(floor, -1)  # (1,) for one floor for every cell
     for j in range(1, n):
         if far is not None:
@@ -196,9 +235,16 @@ def _cells(n, key, coord, trits, floor, need):
             cell, p = cell[keep], p[keep]
             floor = floor[keep] if per_cell else floor
             key = key if every else key[keep]
-            xj = x.reshape(-1)[cell] if every else coord(key, j)
-            p *= h_eval_array(wrap01_array(xj - shift[cell // width, j]))
+            if len(cell) > TAIL:
+                xj = x.reshape(-1)[cell] if every else coord(key, j)
+                p *= h_eval_array(wrap01_array(xj - shift[cell // width, j]))
+            else:  # the plain product of the last cells' remaining coordinates
+                xs = coord((key[cell] if every else key)[:, None], np.arange(j, n))
+                for h in h_eval_array(wrap01_array(xs - shift[cell // width, j:])).T:
+                    p *= h
             flat[cell] = p
+            if len(cell) <= TAIL:
+                cell = cell[:0]  # every cell's f is final
     inside = np.zeros((rows, width), dtype=bool)
     if far is not None:
         inside[need] = far > n / 2
@@ -244,7 +290,8 @@ def _lockstep(
                 # draw j of cell (row, q) is uniforms_at(key[row, q], j)
                 key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
                 r = uniforms_at(key, n) if answers else None
-                coord, need = _drawn, ((first_exit[rows] == 0) | every_inside).nonzero()[0]
+                coord = unit_uniforms_at
+                need = ((first_exit[rows] == 0) | every_inside).nonzero()[0]
             else:
                 width = per_round
                 u = uniform_block(bases, 1 + n + (k - 1) * (draws + per_round), draws + per_round)

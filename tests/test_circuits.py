@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plateaulab import training
 from plateaulab.circuits import (
     HAMILTONIAN,
     PHI,
@@ -15,7 +16,7 @@ from plateaulab.circuits import (
     single_qubit_sim,
     tensor_sim,
 )
-from plateaulab.torus import GridShift, TorusPoint, bohr_dist
+from plateaulab.torus import GridShift, TorusPoint, bohr_dist, wrap01_array
 from plateaulab.training import _cells
 
 
@@ -146,9 +147,12 @@ _GRID = [0.0, 1 / 3, 2 / 3, float(np.nextafter(1 / 3, 0.0)), float(np.nextafter(
 _prune_coord = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(_GRID)
 
 
+# TAIL 0 cuts f coordinate by coordinate to the end; 10**9 multiplies out every
+# cell left after coordinate 0 as one block
+@pytest.mark.parametrize("tail", [0, training.TAIL, 10**9], ids=["cut", "tail", "block"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 12), rows=st.integers(1, 6), per_row=st.booleans())
-def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
+def test_pruned_product_answers_every_comparison_as_f(tail, data, n, rows, per_row):
     points = np.array(
         data.draw(st.lists(_prune_coord, min_size=n * rows, max_size=n * rows))
     ).reshape(rows, n)
@@ -179,7 +183,9 @@ def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
 
     def cut(floor):  # _cells with one cell per point, keyed by its row
         key = np.arange(rows)[:, None]
-        fx, _ = _cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor, ())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(training, "TAIL", tail)
+            fx, _ = _cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor, ())
         return fx[:, 0]
 
     v = cut(floors)
@@ -196,3 +202,59 @@ def test_pruned_product_answers_every_comparison_as_f(data, n, rows, per_row):
     assert np.array_equal(v1[keep], f[keep])
     for t in (floors[0], -floors[0]):
         assert np.array_equal(v1 >= t, f >= t) and np.array_equal(t < v1, t < f)
+
+
+# scalar floors of _cells' coordinate-0 band: 1/3 is where the negative lobe
+# (min h = -1/3) stops reaching the floor
+_THIRD = 1 / 3
+_BAND_FLOORS = [0.0, _THIRD - 1e-9, float(np.nextafter(_THIRD, 0.0)), _THIRD,
+                float(np.nextafter(_THIRD, 1.0)), _THIRD + 1e-9, 1.0, np.inf]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), rows=st.integers(1, 5), width=st.integers(1, 8))
+def test_band_answers_every_comparison_as_f(data, n, rows, width):
+    coords = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(_GRID + [0.5, 1 / 6, 0.25])
+    points = np.array(
+        data.draw(st.lists(coords, min_size=rows * width * n, max_size=rows * width * n))
+    ).reshape(rows, width, n)
+    trits = np.array(
+        data.draw(st.lists(st.integers(0, 2), min_size=rows * n, max_size=rows * n))
+    ).reshape(rows, n)
+    f = shifted_product_rows(points, trits[:, None, :])
+    # a floor from the list, or tied to one cell's |h(d_0)|: equal, 1 ulp below or above
+    if data.draw(st.booleans()):
+        floor = data.draw(st.sampled_from(_BAND_FLOORS))
+    else:
+        h0 = np.abs(h_eval_array(wrap01_array(points[..., 0] - trits[:, :1] / 3.0)))
+        tied = float(h0.reshape(-1)[data.draw(st.integers(0, rows * width - 1))])
+        floor = float(np.nextafter(tied, data.draw(st.sampled_from([tied, 0.0, 2.0]))))
+    key = np.arange(rows * width).reshape(rows, width)
+    fx, _ = _cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor, ())
+    keep = np.abs(f) >= floor
+    assert fx[keep].tobytes() == f[keep].tobytes()
+    w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))[:, None]
+    for t in (floor, -floor, floor + w, -floor - w):
+        assert np.array_equal(fx >= t, f >= t)
+        assert np.array_equal(t < fx, t < f)
+
+
+def test_band_skips_h_outside_it():
+    # at floor 0.9 only |d_0| <= 0.0883 (mod 1) can reach it: 18% of the cells
+    rng = np.random.default_rng(5)
+    points, trits = rng.random((40, 50, 1)), rng.integers(0, 3, (40, 1))
+    evaluated = []
+
+    def h(t):
+        evaluated.append(t.size)
+        return h_eval_array(t)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "h_eval_array", h)
+        fx, _ = _cells(1, np.arange(2000).reshape(40, 50), lambda k, j: points.reshape(-1)[k],
+                       trits, 0.9, ())
+    f = shifted_product_rows(points, trits[:, None, :])
+    assert sum(evaluated) < 0.25 * f.size
+    keep = np.abs(f) >= 0.9
+    assert keep.any() and fx[keep].tobytes() == f[keep].tobytes()
+    assert np.all(fx[~keep] == 0.0)

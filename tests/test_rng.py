@@ -5,11 +5,15 @@ from hypothesis import example, given, settings, strategies as st
 from plateaulab.rng import (
     _GOLDEN,
     _MASK,
+    _MIX1,
+    _MIX2,
     RandomStack,
     _mix64,
+    advance,
     stream_bases,
     uniform_block,
     uniforms_at,
+    unit_uniforms_at,
 )
 
 
@@ -149,3 +153,30 @@ def test_uniforms_at_on_one_cell_is_an_array():
     got = uniforms_at(base, 2**40)
     assert got.shape == (1,)
     assert got[0] == uniform_block(np.array([base]), 2**40, 1)[0, 0]
+
+
+def _unmix64(z):
+    """The inverse of rng._mix64: its steps undone in reverse order."""
+    def unshift(z, s):  # x ^ x >> s becomes x ^ x >> 2s, then 4s, then 8s >= 64
+        for k in (s, 2 * s, 4 * s):
+            z ^= z >> k
+        return z
+
+    z = unshift(z, 31)
+    z = unshift(z * pow(_MIX2, -1, 2**64) & _MASK, 27)
+    return unshift(z * pow(_MIX1, -1, 2**64) & _MASK, 30)
+
+
+def test_unit_uniforms_equal_halved_uniforms_to_the_bit():
+    # random search's coordinates: z * 2**-53 straight from the 53-bit integer z
+    # of a draw.  The streams whose draw 0 has z = 0, 1, 2**52 and 2**53 - 1
+    # (draws -1, -1 + 2**-52, 0 and 1 - 2**-52), then many random cells
+    assert all(_mix64(_unmix64(z)) == z for z in (0, 1, 2**63, _MASK, 0x1234_5678_9ABC_DEF0))
+    edges = [0, 1, 2**52, 2**53 - 1]
+    edge_bases = np.array([(_unmix64(z << 11) - _GOLDEN) & _MASK for z in edges], dtype=np.uint64)
+    assert uniforms_at(edge_bases, 0).tolist() == [-1.0, -1.0 + 2.0**-52, 0.0, 1.0 - 2.0**-52]
+    assert unit_uniforms_at(edge_bases, 0).tolist() == [z * 2.0**-53 for z in edges]
+    bases = advance(stream_bases(3, np.arange(50))[:, None], np.arange(40))
+    for s, j in ((edge_bases, 0), (bases, 7), (bases[:, :1], np.arange(12)), (bases[3], 2**40)):
+        want = (uniforms_at(s, j) + 1.0) / 2.0
+        assert unit_uniforms_at(s, j).tobytes() == want.tobytes()

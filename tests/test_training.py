@@ -10,7 +10,7 @@ from plateaulab import training
 from plateaulab.circuits import ShiftedProductFunction, shifted_product_rows
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import RandomStack, clamp_to_plateau, coupled_sample, sample_query
-from plateaulab.rng import advance, stream_bases, uniforms_at
+from plateaulab.rng import advance, stream_bases, uniforms_at, unit_uniforms_at
 from plateaulab.torus import GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
 from plateaulab.training import (
     PSHIFT_SHIFT,
@@ -364,6 +364,9 @@ def test_random_exit_time_evaluates_no_f():
     assert np.array_equal(got, want)
 
 
+# TAIL 0 cuts f coordinate by coordinate to the end; 10**9 multiplies out every
+# cell left after coordinate 0 as one block
+@pytest.mark.parametrize("tail", [0, training.TAIL, 10**9], ids=["cut", "tail", "block"])
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 8),
@@ -385,7 +388,9 @@ def test_random_exit_time_evaluates_no_f():
          shifts=[0, 2186], exits=[True, True, False, False, False, False])
 @example(n=1, seed=3, done=7, width=1, level=None, answers=True,
          shifts=[2], exits=[True] * 6)
-def test_random_cells_equal_whole_points(n, seed, done, width, level, answers, shifts, exits):
+def test_random_cells_equal_whole_points(
+    tail, n, seed, done, width, level, answers, shifts, exits
+):
     # _cells on random search's advanced streams against the same cells built
     # point by point: draws 1 + (n+1)(done+q) + j of each row's stream,
     # j = 0..n, with the plain product shifted_product_rows and the far count
@@ -397,7 +402,9 @@ def test_random_cells_equal_whole_points(n, seed, done, width, level, answers, s
     key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
     r = uniforms_at(key, n) if answers else None
     floor = None if level is None else level if r is None else np.minimum(np.abs(r), level)
-    fx, inside = training._cells(n, key, training._drawn, trits, floor, np.flatnonzero(exits))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "TAIL", tail)
+        fx, inside = training._cells(n, key, unit_uniforms_at, trits, floor, np.flatnonzero(exits))
     draws = 1 + (n + 1) * np.arange(done, done + width)[:, None] + np.arange(n + 1)
     u = uniforms_at(bases[:, None, None], draws)  # (rows, width, n + 1)
     x = (u[..., :n] + 1.0) / 2.0
@@ -427,6 +434,8 @@ def test_random_cells_equal_whole_points(n, seed, done, width, level, answers, s
         (divergence_chunk, ("spsa", 12, 10, 0.0, 0, 1000, 5)),
         (exit_time_chunk, ("pshift", 8, 50, 0, 1000, 5)),
         (trainer_trials_chunk, ("pshift", 12, default_alpha(12), 3000, 0, 200, 5)),
+        # README's SPSA example at a budget of 1,000, which traces in under a second
+        (trainer_trials_chunk, ("spsa", 6, default_alpha(6), 1000, 0, 200, 5)),
     ],
 )
 def test_random_search_chunk_peak_traced_allocation(chunk, args):
