@@ -8,7 +8,9 @@ Tensoring n such blocks yields f_0(x) = prod_j h(x_j); the hidden family
 member is f_a(x) = f_0(x - a) for a on the 1/3-grid.
 
 A small statevector simulator validates the analytic formulas
-independently (exact 2x2 matrix exponential, strided gate application).
+independently: it builds the 2**n amplitudes of the product of closed-form
+one-qubit unitaries on |0...0>, one gate column at a time and for many
+points at once, and measures Z on every qubit.
 """
 from __future__ import annotations
 
@@ -98,21 +100,41 @@ def single_qubit_sim(x: float) -> float:
 def tensor_sim(f: ShiftedProductFunction, x: TorusPoint) -> float:
     """Full 2**n statevector evaluation of f at x; cross-checks eval_array.
 
-    Applies each shifted one-qubit unitary by strided 2x2 multiplication
-    and measures Z on every qubit.
+    One row of tensor_sim_rows: the product state is built column by column,
+    as each gate meets its qubit in |0>, so its second column would multiply
+    only exact zeros; then Z is measured on every qubit.
     """
-    n = f.n
-    if len(x) != n:
-        raise ValueError(f"dimension mismatch: expected {n}, got {len(x)}")
+    if len(x) != f.n:
+        raise ValueError(f"dimension mismatch: expected {f.n}, got {len(x)}")
+    return float(tensor_sim_rows(np.array([x.coords]), np.array([f.shift.trits]))[0])
+
+
+def tensor_sim_rows(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
+    """Z-parity expectation of prod_j U_j|0...0> on 2**n amplitudes, with
+    U_j = single_qubit_unitary(x_j - a_j/3), per row x of the (rows, n)
+    points and row a of the (rows, n) trits.
+
+    Qubit j is still |0> when its one gate U_j comes, so the strided 2x2
+    product meets exact zeros in U_j's second column: amplitude a*2**j + k
+    becomes U_j[a, 0] times amplitude k.  Complex products are taken in real
+    form (ar*br - ai*bi, ar*bi + ai*br), einsum's arithmetic to the bit, as
+    numpy's complex multiply may fuse them.
+    """
+    t = np.asarray(points, dtype=np.float64) - np.asarray(trits) / 3.0
+    rows, n = t.shape
     if n > TENSOR_SIM_CAP:
         raise ValueError(f"n={n} exceeds statevector cap {TENSOR_SIM_CAP} (2**n amplitudes)")
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
-    for j in range(n):
-        u = single_qubit_unitary(x.coords[j] - f.shift.trits[j] / 3.0)
-        s = state.reshape(2 ** (n - 1 - j), 2, 2**j)
-        state = np.einsum("ab,ibj->iaj", u, s).reshape(-1)
-    return float(np.sum(_z_parity(n) * np.abs(state) ** 2))
+    # U_j|0> = cos(pi t)(1, 0) - i sin(pi t)(H00, H10), as single_qubit_unitary forms it
+    ur = np.cos(np.pi * t)[..., None] * np.array([1.0, 0.0])
+    ui = -np.sin(np.pi * t)[..., None] * HAMILTONIAN[:, 0].real
+    re, im = ur[:, 0], ui[:, 0]
+    for j in range(1, n):
+        ar, ai = ur[:, j, :, None], ui[:, j, :, None]
+        br, bi = re[:, None, :], im[:, None, :]
+        re, im = (ar * br - ai * bi).reshape(rows, -1), (ar * bi + ai * br).reshape(rows, -1)
+    state = np.empty((rows, 2**n), dtype=complex)
+    state.real, state.imag = re, im
+    return np.sum(_z_parity(n) * np.abs(state) ** 2, axis=-1)
 
 
 @functools.cache

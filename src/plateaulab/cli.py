@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import circuits, game, info, training
-from .rng import RandomStack
-from .torus import GridShift, TorusPoint
+from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
+from .torus import index_trits
 
 DEFAULT_SEED = 1234567891
 SEED_ENV_VAR = "PLATEAULAB_SEED"
@@ -92,13 +92,17 @@ def _verify_circuit(args):
                          f": a statevector of 2^{args.n_max} amplitudes")
     rows = []
     for n in range(1, args.n_max + 1):
-        stack = RandomStack(args.seed, n)
+        # trial i pops draws i(n+1) .. i(n+1)+n of stream n: its shift, then x;
+        # sub-blocks keep a block's complex statevectors within BLOCK_BYTES
+        base, block = stream_bases(args.seed, [n]), BLOCK_BYTES // (16 * 2**n)
         max_dev = 0.0
-        for _ in range(args.trials):
-            hidden = GridShift.from_index(n, stack.pop_index(3**n))
-            f = circuits.ShiftedProductFunction(n, hidden)
-            x = TorusPoint((stack.pop_batch(n) + 1.0) / 2.0)
-            max_dev = max(max_dev, abs(circuits.tensor_sim(f, x) - f(x)))
+        for s in range(0, args.trials, block):
+            count = min(block, args.trials - s)
+            u = uniform_block(base, s * (n + 1), count * (n + 1)).reshape(count, n + 1)
+            trits = index_trits(index_block(u[:, 0], 3**n), n)
+            x = (u[:, 1:] + 1.0) / 2.0
+            f = circuits.shifted_product_rows(x, trits)
+            max_dev = max(max_dev, float(np.abs(circuits.tensor_sim_rows(x, trits) - f).max()))
         rows.append({"n": n, "trials": args.trials, "max_abs_dev": max_dev})
     worst = max([r["max_abs_dev"] for r in rows], default=0.0)
     anchor_err = max(

@@ -19,6 +19,7 @@ are undecided, it multiplies out their remaining coordinates as one block.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -86,8 +87,15 @@ def points(algo: str, x, k: int, u: np.ndarray) -> np.ndarray:
         np.add(x, step, out=out[:, 0])
         np.subtract(x, step, out=out[:, 1])
         return out
-    n = x.shape[-1]  # pshift: rows +e_j/4 and -e_j/4, j = 0..n-1
-    return x[:, None, :] + PSHIFT_SHIFT * np.kron(np.eye(n), [[1.0], [-1.0]])
+    return x[:, None, :] + _pshift_offsets(x.shape[-1])
+
+
+@functools.cache
+def _pshift_offsets(n: int) -> np.ndarray:
+    """(2n, n) parameter-shift offsets, rows +e_j/4 and -e_j/4 for j < n (read-only)."""
+    offsets = PSHIFT_SHIFT * np.kron(np.eye(n), [[1.0], [-1.0]])
+    offsets.flags.writeable = False
+    return offsets
 
 
 def update(algo: str, x, k: int, u: np.ndarray, y: np.ndarray):

@@ -10,11 +10,14 @@ from plateaulab.circuits import (
     HAMILTONIAN,
     PHI,
     ShiftedProductFunction,
+    _z_parity,
     h_eval,
     h_eval_array,
     shifted_product_rows,
     single_qubit_sim,
+    single_qubit_unitary,
     tensor_sim,
+    tensor_sim_rows,
 )
 from plateaulab.torus import GridShift, TorusPoint, bohr_dist, wrap01_array
 from plateaulab.training import _cells
@@ -131,6 +134,35 @@ def test_tensor_sim_cap():
     f = ShiftedProductFunction(11, GridShift.zero(11))
     with pytest.raises(ValueError, match="cap"):
         tensor_sim(f, TorusPoint([0.0] * 11))
+
+
+def _einsum_statevector(x, trits) -> float:
+    """The general statevector reference: each shifted one-qubit unitary applied
+    to the whole 2**n state by strided 2x2 multiplication, then Z on every qubit."""
+    n = len(x)
+    state = np.zeros(2**n, dtype=complex)
+    state[0] = 1.0
+    for j in range(n):
+        u = single_qubit_unitary(x[j] - trits[j] / 3.0)
+        s = state.reshape(2 ** (n - 1 - j), 2, 2**j)
+        state = np.einsum("ab,ibj->iaj", u, s).reshape(-1)
+    return float(np.sum(_z_parity(n) * np.abs(state) ** 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 10), rows=st.integers(1, 20))
+def test_tensor_sim_rows_equals_the_gate_by_gate_statevector(data, n, rows):
+    trits = np.array(
+        data.draw(st.lists(st.integers(0, 2), min_size=rows * n, max_size=rows * n))
+    ).reshape(rows, n)
+    # a drawn coordinate, or an integer k for x_j = a_j + k/3 (mod 1): the
+    # shift itself (k = 0, U_j = I) or one of h's zeros (k = 1, 2)
+    coords = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.integers(0, 2),
+                                min_size=rows * n, max_size=rows * n))
+    points = np.array([((a + v) % 3) / 3 if isinstance(v, int) else v
+                       for v, a in zip(coords, trits.reshape(-1))]).reshape(rows, n)
+    want = np.array([_einsum_statevector(x, a) for x, a in zip(points, trits)])
+    assert tensor_sim_rows(points, trits).tobytes() == want.tobytes()
 
 
 def test_h_eval_array_magnitude_at_most_one():

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plateaulab import circuits, game, info, training
+from plateaulab import circuits, cli, game, info, training
 from plateaulab.cli import (
     DEFAULT_SEED,
     EXIT_BAD_CONFIG,
@@ -15,6 +16,8 @@ from plateaulab.cli import (
     build_parser,
     main,
 )
+from plateaulab.rng import BLOCK_BYTES, RandomStack
+from plateaulab.torus import GridShift, TorusPoint
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -350,13 +353,81 @@ def test_verify_circuit(tmp_path):
 
 
 def test_verify_circuit_refuses_n_max_above_cap_before_any_trial(tmp_path, monkeypatch, capsys):
-    def no_sim(f, x):
-        raise AssertionError("tensor_sim ran before the cap was checked")
+    def no_sim(points, trits):
+        raise AssertionError("tensor_sim_rows ran before the cap was checked")
 
-    monkeypatch.setattr(circuits, "tensor_sim", no_sim)
+    monkeypatch.setattr(circuits, "tensor_sim_rows", no_sim)
     argv = ["verify-circuit", "--n-max", "11", "--trials", "5", "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_BAD_CONFIG
     assert "n_max=11 exceeds statevector cap 10" in capsys.readouterr().err
+    # the patched kernel is the one the command calls
+    argv[2] = "1"
+    assert main(argv) == EXIT_INTERNAL_ERROR
+    assert "tensor_sim_rows ran" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--trials", "0"], ["--n-max", "11"], ["--tol", "nan"]], ids=" ".join
+)
+def test_verify_circuit_bad_input_exits_2_before_any_draw(tmp_path, monkeypatch, argv):
+    def no_draw(*args):
+        raise AssertionError("verify-circuit drew before checking its input")
+
+    monkeypatch.setattr(cli, "stream_bases", no_draw)
+    monkeypatch.setattr(cli, "uniform_block", no_draw)
+    assert main(["verify-circuit", *argv, "--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
+
+
+def _verify_circuit_loop(seed, n_max, trials):
+    """verify-circuit's CSV from its per-trial loop, the oracle of its row
+    blocks, and each trial's (shift trits, point): stream n pops each trial's
+    shift, then its point."""
+    lines, drawn = ["n,trials,max_abs_dev"], []
+    for n in range(1, n_max + 1):
+        stack = RandomStack(seed, n)
+        max_dev = 0.0
+        for _ in range(trials):
+            hidden = GridShift.from_index(n, stack.pop_index(3**n))
+            f = circuits.ShiftedProductFunction(n, hidden)
+            x = TorusPoint((stack.pop_batch(n) + 1.0) / 2.0)
+            max_dev = max(max_dev, abs(circuits.tensor_sim(f, x) - f(x)))
+            drawn.append((hidden.trits, x.coords))
+        lines.append(f"{n},{trials},{max_dev:.17g}")
+    return "\n".join(lines) + "\n", drawn
+
+
+# 8 rows is the n = 10 sub-block, BLOCK_BYTES // (16 * 2**10), and 16 the n = 9 one
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("trials", [1, 8, 9, 17])
+def test_verify_circuit_csv_equals_the_per_trial_loop(tmp_path, monkeypatch, trials, workers):
+    want, want_drawn = _verify_circuit_loop(2718, 10, trials)
+    kernel, drawn = circuits.tensor_sim_rows, []
+
+    def recording_kernel(points, trits):  # the max in the CSV hides most trials
+        drawn.extend(zip(map(tuple, trits.tolist()), map(tuple, points.tolist())))
+        return kernel(points, trits)
+
+    monkeypatch.setattr(circuits, "tensor_sim_rows", recording_kernel)
+    out = tmp_path / "v.csv"
+    argv = ["verify-circuit", "--n-max", "10", "--trials", str(trials), "--seed", "2718",
+            "--workers", workers, "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert out.read_text() == want
+    assert drawn == want_drawn
+
+
+def test_verify_circuit_peak_traced_allocation(tmp_path):
+    # 5000 trials of 2**10 amplitudes would be 80 MB as one block
+    build_parser()
+    tracemalloc.start()
+    try:
+        code = main(["verify-circuit", "--n-max", "10", "--trials", "5000",
+                     "--out", str(tmp_path / "v.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 8 * BLOCK_BYTES, peak / BLOCK_BYTES
 
 
 def test_seed_env_default(tmp_path, monkeypatch):
