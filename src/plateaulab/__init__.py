@@ -26,7 +26,6 @@ from .oracles import (
     ClampedFunction,
     RandomStack,
     Transcript,
-    clamp_to_plateau,
     coupled_sample,
     eval_query,
     sample_query,
@@ -55,7 +54,6 @@ __all__ = [
     "Transcript",
     "bohr_dist",
     "bounds",
-    "clamp_to_plateau",
     "coupled_sample",
     "divergence_experiment",
     "estimate_win_cdf",

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import circuits, game, info, training
-from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, advance, first_indices, stream_bases, uniform_block
 from .torus import index_trits
 
 DEFAULT_SEED = 1234567891
@@ -93,14 +93,13 @@ def _verify_circuit(args):
     rows = []
     for n in range(1, args.n_max + 1):
         # trial i pops draws i(n+1) .. i(n+1)+n of stream n: its shift, then x;
-        # sub-blocks keep a block's complex statevectors within BLOCK_BYTES
-        base, block = stream_bases(args.seed, [n]), BLOCK_BYTES // (16 * 2**n)
+        # sub-blocks keep a block's statevectors and per-row draws within BLOCK_BYTES
+        base, block = stream_bases(args.seed, [n]), BLOCK_BYTES // (16 * 2**n + 64 * (n + 1))
         max_dev = 0.0
         for s in range(0, args.trials, block):
-            count = min(block, args.trials - s)
-            u = uniform_block(base, s * (n + 1), count * (n + 1)).reshape(count, n + 1)
-            trits = index_trits(index_block(u[:, 0], 3**n), n)
-            x = (u[:, 1:] + 1.0) / 2.0
+            bases = advance(base, (n + 1) * np.arange(s, min(s + block, args.trials)))
+            trits = index_trits(first_indices(bases, 3**n), n)
+            x = (uniform_block(bases, 1, n) + 1.0) / 2.0
             f = circuits.shifted_product_rows(x, trits)
             max_dev = max(max_dev, float(np.abs(circuits.tensor_sim_rows(x, trits) - f).max()))
         rows.append({"n": n, "trials": args.trials, "max_abs_dev": max_dev})

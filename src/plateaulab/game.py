@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from ._parallel import run_chunks
-from .rng import BLOCK_BYTES, RandomStack, index_block, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, RandomStack, first_indices, stream_bases, uniform_block
 from .torus import (
     GRID_BASE,
     GridShift,
@@ -27,12 +27,8 @@ from .torus import (
     far_count_array,
     hamming_d,
     index_trits,
-    wrap01,
     wrap01_array,
 )
-
-Strategy = Callable[[int, RandomStack, list], TorusPoint]
-"""A strategy maps (round index, stack, past answers) to the next query point."""
 
 
 @dataclass(frozen=True)
@@ -104,31 +100,10 @@ def bounds(n: int) -> BoundsRow:
     )
 
 
-# --- strategies -------------------------------------------------------------
-
+# "grid" sweeps the shifts in index order, "uniform" draws each point, and
+# "adaptive" draws a point every n rounds and in between moves coordinate
+# (r-1) % n one grid step
 STRATEGIES = ("uniform", "grid", "adaptive")
-
-
-def make_strategy(name: str, n: int) -> Strategy:
-    """Strategy `name` for one game, one scalar round per call: the per-trial
-    reference win_round_counts is tested against.  "grid" sweeps the shifts in
-    index order, "uniform" draws each point, and "adaptive" draws a point every
-    n rounds and in between moves coordinate (r-1) % n one grid step."""
-    if name not in STRATEGIES:
-        raise ValueError(f"unknown strategy {name!r}")
-    x: list[float] = []
-
-    def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
-        if name == "grid":
-            return GridShift.from_index(n, (round_idx - 1) % GRID_BASE**n).to_point()
-        j = (round_idx - 1) % n
-        if name == "uniform" or j == 0:
-            x[:] = ((stack.pop_batch(n) + 1.0) / 2.0).tolist()
-        else:
-            x[j] = wrap01(x[j] + 1.0 / GRID_BASE)
-        return TorusPoint(x)
-
-    return strat
 
 
 # --- game simulation --------------------------------------------------------
@@ -136,11 +111,12 @@ def make_strategy(name: str, n: int) -> Strategy:
 def play_game(
     n: int,
     hidden: GridShift,
-    strategy: Strategy,
+    strategy,
     max_rounds: int,
     stack: RandomStack,
 ) -> GameRecord:
-    """Run one game; Alice answers membership truthfully; censor at max_rounds."""
+    """Run one game; Alice answers membership truthfully; censor at max_rounds.
+    strategy(round, stack, past answers) gives each round's query point."""
     region = PlateauRegion(n, hidden)
     queries: list[TorusPoint] = []
     answers: list[bool] = []
@@ -163,14 +139,15 @@ def win_round_counts(
 
     Alice answers "yes" until Bob wins, so no query depends on an answer,
     and each step plays w <= done + cycle rounds (a win at round q costs about
-    2q) of every live trial.  Trial t draws what play_game with make_strategy
-    on RandomStack(seed, t) draws: its hidden shift, then its points from draw 1.
+    2q) of every live trial.  Trial t draws what play_game with that strategy,
+    one round per call, draws on RandomStack(seed, t): its hidden shift, then
+    its points from draw 1.
     """
     if strategy_name not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy_name!r}")
     counts = np.zeros(m_max, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
-    hidden = index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n)
+    hidden = first_indices(bases, GRID_BASE**n)
     trits = index_trits(hidden, n).astype(np.float64)[:, None, :]  # cast once per chunk
     cycle = n if strategy_name == "adaptive" else 1
     done = 0

@@ -16,7 +16,7 @@ import numpy as np
 from ._parallel import run_chunks
 from .circuits import h_eval_array
 from .oracles import RandomStack, eval_query
-from .rng import BLOCK_BYTES, index_block, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, first_indices, stream_bases, uniform_block
 from .torus import GRID_BASE, GridShift, TorusPoint, check_n, wrap01_array
 
 LOG2_3 = math.log2(3)
@@ -178,27 +178,6 @@ def _query_points(spec, n: int, m: int) -> Optional[np.ndarray]:
     raise ValueError(f"unknown strategy spec {spec!r}")
 
 
-def _transcript_entropies_scalar(
-    n: int, points: Optional[np.ndarray], m: int, start: int, count: int, seed: int
-) -> np.ndarray:
-    """H(C | transcript) of each trial, one RandomStack and candidate row
-    per trial and query: the reference the batched path is tested against.
-    Query q asks a uniform point, or row q-1 of the (m, n) `points`."""
-    out = np.empty(count)
-    for i, trial in enumerate(range(start, start + count)):
-        stack = RandomStack(seed, trial)
-        hidden = stack.pop_index(GRID_BASE**n)
-        weights = np.full(GRID_BASE**n, 1.0 / GRID_BASE**n)
-        for q in range(1, m + 1):
-            x = (stack.pop_batch(n) + 1.0) / 2.0 if points is None else points[q - 1]
-            vals = candidate_values(n, TorusPoint(x))
-            y = 1 if stack.pop() < vals[hidden] else -1
-            _bayes_step(weights, y * vals)
-        p = weights[weights > 0] / weights.sum()
-        out[i] = -np.sum(p * np.log2(p))
-    return out
-
-
 def _row_entropies(weights: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row of unnormalised weights.
 
@@ -225,7 +204,7 @@ def mi_transcript_chunk(
 
     Query q asks a uniform point (`points` None) or row q-1 of the (m, n)
     `points`.  No query point depends on the answers, so trial t's draws are
-    fixed by the scalar path on RandomStack(seed, t): draw 0 is the hidden
+    fixed as pops of RandomStack(seed, t) would be: draw 0 is the hidden
     shift, then each query reads n point draws if uniform, and its outcome.
 
     Per group of queries, one h-table and one prefix table (the products
@@ -233,7 +212,7 @@ def mi_transcript_chunk(
     points build both on one row, which every trial of the sub-block reads.
     Each query's likelihood row is the prefix row times the top coordinate's
     y-signed factors, written into one reused buffer: the float operations of
-    candidate_values, so every entropy equals the scalar path's to the bit.
+    candidate_values, so every entropy equals a per-trial loop's to the bit.
     """
     size = GRID_BASE**n
     low = size // GRID_BASE  # prefix entries: the shifts of coordinates 0..n-2
@@ -244,7 +223,7 @@ def mi_transcript_chunk(
     for lo in range(0, count, step):
         block = bases[lo : lo + step]
         rows = len(block)
-        hidden = index_block(uniform_block(block, 0, 1)[:, 0], size)
+        hidden = first_indices(block, size)
         weights = np.full((rows, size), 1.0 / size)
         buf = np.empty((rows, GRID_BASE, low))  # one query's y * f_a(x), top trit first
         # queries per group: the h-table within BLOCK_BYTES, the prefix table within 3x that
@@ -318,9 +297,9 @@ def identify_chunk(
     bases = stream_bases(seed, np.arange(start, start + count))
     step = _block_rows(n)
     for lo in range(0, count, step):
-        u = uniform_block(bases[lo : lo + step], 0, 1 + n)
-        hidden = index_block(u[:, 0], GRID_BASE**n)
-        vals = candidate_block((u[:, 1:] + 1.0) / 2.0)
+        block = bases[lo : lo + step]
+        hidden = first_indices(block, GRID_BASE**n)
+        vals = candidate_block((uniform_block(block, 1, n) + 1.0) / 2.0)
         rows = np.arange(len(vals))
         matches = np.abs(vals - vals[rows, hidden][:, None]) <= tol
         found = np.count_nonzero(matches, axis=1)
@@ -336,12 +315,7 @@ def identification_rates(
 ) -> tuple[float, float, int]:
     """(unique rate, unique-and-correct rate, ambiguous count) over trials
     with a uniformly hidden shift."""
-    check_n(n)
-    if n > IDENTIFY_N_CAP:
-        raise ValueError(
-            f"n={n} exceeds identify cap {IDENTIFY_N_CAP}: a candidate row needs"
-            f" about {32e-9 * GRID_BASE**n:.3g} GB"
-        )
+    _check_table(n)
     if not tol > 0:  # NaN too; here, not in a pool worker
         raise ValueError("tol must be positive")
     counts = run_chunks(identify_chunk, (n, tol), trials, seed, workers)

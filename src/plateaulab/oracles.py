@@ -19,7 +19,6 @@ __all__ = [
     "eval_query",
     "sample_query",
     "coupled_sample",
-    "clamp_to_plateau",
 ]
 
 
@@ -60,10 +59,6 @@ class ClampedFunction:
         if self.region.contains(x):
             return self.eta
         return self.base(x)
-
-
-def clamp_to_plateau(base, region, eta: float) -> ClampedFunction:
-    return ClampedFunction(base, region, eta)
 
 
 def _check_dim(f, x: TorusPoint) -> None:

@@ -6,8 +6,9 @@ The generator is SplitMix64 over a counter: fast, vectorizable, and good
 enough statistically for Monte Carlo at desk scale.  `uniform_block` draws
 the same values for many streams at once, one row per stream, and
 `uniforms_at` any set of (stream, draw) cells (`unit_uniforms_at` maps them
-to [0, 1) as (u + 1) / 2), and `advance` moves a stream on by a number of
-draws.
+to [0, 1) as (u + 1) / 2), `advance` moves a stream on by a number of
+draws, and `first_indices` maps each stream's draw 0 to an index, as every
+experiment draws its hidden shift.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-_BUF_SIZE = 512
 BLOCK_BYTES = 2**17  # float64 bytes per sub-block of a chunk's array step; bounds peak memory
 
 
@@ -106,10 +106,10 @@ def uniform_block(bases: np.ndarray, start: int, count: int) -> np.ndarray:
     return _splitmix_uniforms(np.asarray(bases, dtype=np.uint64)[:, None], idx)
 
 
-def index_block(u: np.ndarray, size: int) -> np.ndarray:
-    """pop_index on an array of draws: min(int((u + 1) / 2 * size), size - 1)
-    for each u, in int64 while every index is exact, else as Python ints."""
-    scaled = np.floor((u + 1.0) / 2.0 * float(size))
+def first_indices(bases, size: int) -> np.ndarray:
+    """RandomStack.pop_index(size) as the first pop of each stream with base in
+    `bases`, in int64 while every index is exact, else as Python ints."""
+    scaled = np.floor((uniform_block(bases, 0, 1)[:, 0] + 1.0) / 2.0 * float(size))
     if size <= 2**53:  # every index, and its float, is exact in int64
         return np.minimum(scaled.astype(np.int64), size - 1)
     return np.array([min(int(v), size - 1) for v in scaled], dtype=object)
@@ -127,22 +127,11 @@ class RandomStack:
         self.stream = int(stream) & _MASK
         self.draw_index = 0
         self._base = _mix64(self.seed ^ _mix64(self.stream ^ _GOLDEN))
-        self._buf: np.ndarray | None = None
-        self._buf_start = 0
-
-    def _uniforms(self, start: int, count: int) -> np.ndarray:
-        idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _splitmix_uniforms(np.uint64(self._base), idx)
 
     def pop(self) -> float:
-        """Pop one uniform from [-1, +1)."""
-        k = self.draw_index
-        buf = self._buf
-        if buf is None or not (self._buf_start <= k < self._buf_start + len(buf)):
-            self._buf = buf = self._uniforms(k, _BUF_SIZE)
-            self._buf_start = k
-        self.draw_index = k + 1
-        return float(buf[k - self._buf_start])
+        """Pop one uniform from [-1, +1): uniform_block's draw, in Python ints."""
+        self.draw_index = k = self.draw_index + 1
+        return (_mix64(self._base + k * _GOLDEN) >> 11) * 2.0**-52 - 1.0
 
     def pop_index(self, size: int) -> int:
         """Pop one uniform and map it to an index in [0, size)."""
@@ -150,6 +139,6 @@ class RandomStack:
 
     def pop_batch(self, count: int) -> np.ndarray:
         """Pop `count` uniforms at once; identical values to `count` pops."""
-        out = self._uniforms(self.draw_index, count)
+        out = uniform_block([self._base], self.draw_index, count)[0]
         self.draw_index += count
         return out

@@ -33,7 +33,8 @@ from .game import CdfRow, PlateauRegion, cdf_rows, check_n, delta_bound, p_exact
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
 from .rng import (
-    BLOCK_BYTES, advance, index_block, stream_bases, uniform_block, uniforms_at, unit_uniforms_at,
+    BLOCK_BYTES, advance, first_indices, stream_bases, uniform_block, uniforms_at,
+    unit_uniforms_at,
 )
 from .torus import (
     GRID_BASE, GridShift, TorusPoint, far_coords, far_count_array, index_trits, wrap01_array,
@@ -287,7 +288,7 @@ def _lockstep(
     for s in range(0, count, block):
         rows = np.arange(s, min(s + block, count))
         bases = stream_bases(seed, start + rows)
-        trits = index_trits(index_block(uniform_block(bases, 0, 1)[:, 0], GRID_BASE**n), n)
+        trits = index_trits(first_indices(bases, GRID_BASE**n), n)
         x = None if algo == "random" else (uniform_block(bases, 1, n) + 1.0) / 2.0
         k = 1
         done = 0

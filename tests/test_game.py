@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -8,17 +9,42 @@ from hypothesis import example, given, settings, strategies as st
 
 from plateaulab.circuits import ShiftedProductFunction
 from plateaulab.game import (
+    STRATEGIES,
     PlateauRegion,
     bounds,
     estimate_win_cdf,
-    make_strategy,
     p_exact_fraction,
     play_game,
     win_round_counts,
 )
 from plateaulab.oracles import RandomStack
-from plateaulab.torus import GridShift, TorusPoint
+from plateaulab.torus import GRID_BASE, GridShift, TorusPoint, wrap01
 from plateaulab.training import exit_time_experiment
+
+Strategy = Callable[[int, RandomStack, list], TorusPoint]
+"""A strategy maps (round index, stack, past answers) to the next query point."""
+
+
+def make_strategy(name: str, n: int) -> Strategy:
+    """Strategy `name` for one game, one scalar round per call: the per-trial
+    reference win_round_counts is tested against.  "grid" sweeps the shifts in
+    index order, "uniform" draws each point, and "adaptive" draws a point every
+    n rounds and in between moves coordinate (r-1) % n one grid step."""
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    x: list[float] = []
+
+    def strat(round_idx: int, stack: RandomStack, answers: list) -> TorusPoint:
+        if name == "grid":
+            return GridShift.from_index(n, (round_idx - 1) % GRID_BASE**n).to_point()
+        j = (round_idx - 1) % n
+        if name == "uniform" or j == 0:
+            x[:] = ((stack.pop_batch(n) + 1.0) / 2.0).tolist()
+        else:
+            x[j] = wrap01(x[j] + 1.0 / GRID_BASE)
+        return TorusPoint(x)
+
+    return strat
 
 
 def test_in_plateau_examples():

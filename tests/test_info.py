@@ -309,6 +309,25 @@ def _per_trial_identify_counts(n, tol, start, count, seed):
     return [unique, correct, ambiguous]
 
 
+def _transcript_entropies_scalar(n, points, m, start, count, seed):
+    """Reference: H(C | transcript) of each trial, one RandomStack and candidate
+    row per trial and query.  Query q asks a uniform point, or row q-1 of the
+    (m, n) `points`."""
+    out = np.empty(count)
+    for i, trial in enumerate(range(start, start + count)):
+        stack = RandomStack(seed, trial)
+        hidden = stack.pop_index(3**n)
+        weights = np.full(3**n, 1.0 / 3**n)
+        for q in range(1, m + 1):
+            x = (stack.pop_batch(n) + 1.0) / 2.0 if points is None else points[q - 1]
+            vals = candidate_values(n, TorusPoint(x))
+            y = 1 if stack.pop() < vals[hidden] else -1
+            info._bayes_step(weights, y * vals)
+        p = weights[weights > 0] / weights.sum()
+        out[i] = -np.sum(p * np.log2(p))
+    return out
+
+
 def _or_inconsistent(fn, *args):
     try:
         return fn(*args)
@@ -363,7 +382,7 @@ def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, queries, see
     if queries == "distinct":
         points = data.draw(_points(n, m))
     got = mi_transcript_chunk(n, points, m, start, count, seed)
-    want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
+    want = _transcript_entropies_scalar(n, points, m, start, count, seed)
     # the same float operations in the same order: equal to the bit
     assert got == want.tolist()
 
@@ -400,7 +419,7 @@ def test_small_sub_blocks_equal_per_trial_loops():
             assert info._block_rows(n) == rows
             got = mi_transcript_chunk(n, points, m, start, count, seed)
             counts = _or_inconsistent(lambda *a: identify_chunk(*a).tolist(), n, tol, start, count, seed)
-        want = info._transcript_entropies_scalar(n, points, m, start, count, seed)
+        want = _transcript_entropies_scalar(n, points, m, start, count, seed)
         assert got == want.tolist()
         assert counts == _or_inconsistent(_per_trial_identify_counts, n, tol, start, count, seed)
         split.append(max(offsets, default=0) > 1)
@@ -424,7 +443,7 @@ def test_transcript_entropies_equal_scalar_loop_at_n_1_and_8(n, queries):
         "distinct": drawn,
     }[queries]
     got = mi_transcript_chunk(n, points, m, 40, 40, 2024)
-    assert got == info._transcript_entropies_scalar(n, points, m, 40, 40, 2024).tolist()
+    assert got == _transcript_entropies_scalar(n, points, m, 40, 40, 2024).tolist()
 
 
 def test_mi_chunk_peak_traced_allocation():

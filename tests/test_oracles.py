@@ -9,7 +9,6 @@ from plateaulab.oracles import (
     ClampedFunction,
     RandomStack,
     Transcript,
-    clamp_to_plateau,
     coupled_sample,
     eval_query,
     sample_query,
@@ -32,7 +31,7 @@ def test_eval_query_examples():
     f1 = ShiftedProductFunction(1, GridShift((0,)))
     assert eval_query(f1, TorusPoint([1 / 3])) == pytest.approx(0.0, abs=1e-12)
     region = PlateauRegion(2, GridShift((0, 0)))
-    fbar = clamp_to_plateau(f2, region, 0.0)
+    fbar = ClampedFunction(f2, region, 0.0)
     assert eval_query(fbar, TorusPoint([0.5, 0.5])) == 0.0  # inside the region
 
 
@@ -126,7 +125,7 @@ def test_non_divergence_persistence():
     n, m = 6, 40
     hidden = GridShift((0, 1, 2, 0, 1, 2))
     f = ShiftedProductFunction(n, hidden)
-    fbar = clamp_to_plateau(f, PlateauRegion(n, hidden), 0.0)
+    fbar = ClampedFunction(f, PlateauRegion(n, hidden), 0.0)
     stack = RandomStack(13, 0)
     ta, tb = Transcript(), Transcript()
     for _ in range(m):
@@ -144,7 +143,7 @@ def test_clamp_examples_and_region_gap():
     hidden = GridShift.zero(n)
     f = ShiftedProductFunction(n, hidden)
     region = PlateauRegion(n, hidden)
-    fbar = clamp_to_plateau(f, region, 0.0)
+    fbar = ClampedFunction(f, region, 0.0)
     inside = TorusPoint([0.5] * n)
     outside = TorusPoint([0.0] * n)
     assert fbar(inside) == 0.0
@@ -166,7 +165,7 @@ def test_clamp_examples_and_region_gap():
 def test_clamp_validation():
     f = ShiftedProductFunction(2, GridShift((0, 0)))
     with pytest.raises(ValueError):
-        clamp_to_plateau(f, PlateauRegion(3, GridShift.zero(3)), 0.0)
+        ClampedFunction(f, PlateauRegion(3, GridShift.zero(3)), 0.0)
     f3 = ShiftedProductFunction(3, GridShift.zero(3))
     with pytest.raises(ValueError, match="region dimension must match"):  # when built, not called
         ClampedFunction(f3, PlateauRegion(2, GridShift.zero(2)), 0.0)

@@ -10,6 +10,7 @@ from plateaulab.rng import (
     RandomStack,
     _mix64,
     advance,
+    first_indices,
     stream_bases,
     uniform_block,
     uniforms_at,
@@ -106,6 +107,19 @@ def test_uniform_block_equals_python_int_reference(seed, start):
     block = uniform_block(stream_bases(seed, streams), start, 40)
     for row, s in zip(block, streams):
         assert row.tolist() == _reference_draws(seed, s, start, 40)
+        stack = RandomStack(seed, s)
+        stack.draw_index = start  # pop computes draw k from k alone
+        assert [stack.pop() for _ in range(40)] == row.tolist()
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64 - 1])
+@pytest.mark.parametrize("size", [1, 3, 3**13, 2**53, 2**53 + 1, 3**34, 3**646])
+def test_first_indices_equal_first_pop_index(seed, size):
+    # int64 up to 2**53, exact Python ints above it; 3**646 is the last 3**n below float max
+    streams = [0, -3, 2**64 - 1]
+    got = first_indices(stream_bases(seed, streams), size)
+    assert got.dtype == (np.int64 if size <= 2**53 else object)
+    assert got.tolist() == [RandomStack(seed, s).pop_index(size) for s in streams]
 
 
 def test_uniform_block_literal_draws():

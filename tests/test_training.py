@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from plateaulab import training
 from plateaulab.circuits import ShiftedProductFunction, shifted_product_rows
 from plateaulab.game import PlateauRegion
-from plateaulab.oracles import RandomStack, clamp_to_plateau, coupled_sample, sample_query
+from plateaulab.oracles import ClampedFunction, RandomStack, coupled_sample, sample_query
 from plateaulab.rng import advance, stream_bases, uniforms_at, unit_uniforms_at
 from plateaulab.torus import GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
 from plateaulab.training import (
@@ -87,7 +87,7 @@ def _first_exit(algo, n, m, seed, t):
 
 def _diverges(algo, n, m, eta, seed, t):
     f, stack = _trial(n, seed, t)
-    fbar = clamp_to_plateau(f, PlateauRegion(n, f.shift), eta)
+    fbar = ClampedFunction(f, PlateauRegion(n, f.shift), eta)
     engine = _query_engine(algo, n, stack)
     x = next(engine)
     for _ in range(m):
