@@ -10,12 +10,13 @@ Each trainer is one `points` and one `update` function of a round: the
 queries whose points are fixed before any of their answers.  `_lockstep`
 runs every trial of a chunk through them together; `run_trainer` runs
 them on one row, query by query, as the reference.  Each lockstep step
-computes f and inside of its cells with `_cells`: random search passes the
-cells' advanced streams and (u + 1) / 2 draw, SPSA and parameter-shift the
-round's wrapped points, flattened to cells.  `_cells` reads f only against a
-floor, so it evaluates h only where |f| can still reach it: with one floor
-for every cell, only on coordinate 0's band, and once at most TAIL cells
-are undecided, it multiplies out their remaining coordinates as one block.
+computes f of its cells with `_cells`: random search passes the cells'
+advanced streams and (u + 1) / 2 draw, SPSA and parameter-shift the round's
+wrapped points, flattened to cells.  `_cells` reads f only against a floor,
+so it evaluates h only where |f| can still reach it: with one floor for
+every cell, only on coordinate 0's band, and once at most TAIL cells are
+undecided, it multiplies out their remaining coordinates as one block.
+`_lockstep` decides inside itself, for every algorithm, on the rows that read it.
 """
 from __future__ import annotations
 
@@ -189,19 +190,19 @@ def _band(d, floor):
     return ((s >= lo) | (s <= hi)).nonzero()[0]
 
 
-def _cells(n, key, coord, trits, floor, need):
-    """f and inside of a step's (rows, width) cells: cell (row, q) has key
-    key[row, q] and shift trits[row], and coord(k, j) gives x_j, in [0, 1),
-    of the cells whose keys are k (k and j broadcast).
+def _cells(n, key, coord, trits, floor):
+    """f of a step's (rows, width) cells: cell (row, q) has key key[row, q] and
+    shift trits[row], and coord(k, j) gives x_j, in [0, 1), of the cells whose
+    keys are k (k and j broadcast).
 
-    f (None if floor is None) is cut at floor, a scalar or one per cell: the
-    cells whose running product p has |p| >= floor are compacted arrays of
-    flat index, key, floor and p that shrink once per coordinate, and a cell
-    leaves with p.  As |h| <= 1 and rounding is monotone, |f| <= |p|, so p
-    answers p >= t and t < p as f does for |t| >= floor, and is
-    shifted_product_rows' f if |f| >= floor.  Once at most TAIL cells are
-    left, their remaining coordinates are drawn as one block and multiplied
-    in coordinate order: the plain product, so their f is exact.
+    f is cut at floor, a scalar or one per cell: the cells whose running
+    product p has |p| >= floor are compacted arrays of flat index, key, floor
+    and p that shrink once per coordinate, and a cell leaves with p.  As |h|
+    <= 1 and rounding is monotone, |f| <= |p|, so p answers p >= t and t < p
+    as f does for |t| >= floor, and is shifted_product_rows' f if |f| >=
+    floor.  Once at most TAIL cells are left, their remaining coordinates are
+    drawn as one block and multiplied in coordinate order: the plain product,
+    so their f is exact.
 
     A scalar floor F > 0 first bands coordinate 0: h runs only on the cells
     _band keeps, and every other cell reads 0.0.  Those cells have |h(d_0)| <
@@ -209,55 +210,34 @@ def _cells(n, key, coord, trits, floor, need):
     1e-15 in h; with h's float error below 3e-15, |fl(h)| < F, so the cut
     above would stop them at p = fl(h) anyway, and 0.0 answers p >= t and
     t < p as p does for |t| >= F > 0.  Per-cell floors skip the band, as one
-    arccos per cell costs as much as the cos it would save.
-
-    inside is far_coords' count on the rows `need`, False elsewhere; if every
-    row is needed, the undecided cells read the coordinate drawn for it."""
+    arccos per cell costs as much as the cos it would save."""
     rows, width = key.shape
-    x = coord(key, 0)
-    far, every = None, len(need) == rows
-    if len(need):
-        need = slice(None) if every else need  # a view where every row is needed
-        kn, tn = key[need], trits[need]
-        far = far_coords(x[need], tn[:, :1]).astype(np.int64)
-    fx, cell = None, np.arange(0)  # cell: the flat cells whose f is undecided
     shift = trits / 3.0  # the a_j that points subtract, per row
-    if floor is not None:
-        d = wrap01_array(x - shift[:, :1])
-        key, per_cell = key.reshape(-1), np.ndim(floor) > 0
-        if per_cell or not floor > 0:
-            fx = h_eval_array(d)
-            p = flat = fx.reshape(-1)
-            cell = np.arange(fx.size)
-        else:
-            cell = _band(d.reshape(-1), floor)
-            fx = np.zeros((rows, width))
-            flat, key = fx.reshape(-1), key if every else key[cell]
-            p = flat[cell] = h_eval_array(d.reshape(-1)[cell])
-        floor = np.reshape(floor, -1)  # (1,) for one floor for every cell
+    d = wrap01_array(coord(key, 0) - shift[:, :1])
+    key, per_cell = key.reshape(-1), np.ndim(floor) > 0
+    if per_cell or not floor > 0:
+        fx = h_eval_array(d)
+        p = flat = fx.reshape(-1)
+        cell = np.arange(fx.size)  # the flat cells whose f is undecided
+    else:
+        cell = _band(d.reshape(-1), floor)
+        fx = np.zeros((rows, width))
+        flat, key = fx.reshape(-1), key[cell]
+        p = flat[cell] = h_eval_array(d.reshape(-1)[cell])
+    floor = np.reshape(floor, -1)  # (1,) for one floor for every cell
     for j in range(1, n):
-        if far is not None:
-            x = coord(kn, j)
-            far += far_coords(x, tn[:, j, None])
-        if len(cell):
-            keep = (np.abs(p) >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
-            cell, p = cell[keep], p[keep]
-            floor = floor[keep] if per_cell else floor
-            key = key if every else key[keep]
-            if len(cell) > TAIL:
-                xj = x.reshape(-1)[cell] if every else coord(key, j)
-                p *= h_eval_array(wrap01_array(xj - shift[cell // width, j]))
-            else:  # the plain product of the last cells' remaining coordinates
-                xs = coord((key[cell] if every else key)[:, None], np.arange(j, n))
-                for h in h_eval_array(wrap01_array(xs - shift[cell // width, j:])).T:
-                    p *= h
+        keep = (np.abs(p) >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
+        cell, p, key = cell[keep], p[keep], key[keep]
+        floor = floor[keep] if per_cell else floor
+        if len(cell) <= TAIL:  # the plain product of the last cells' remaining coordinates
+            xs = coord(key[:, None], np.arange(j, n))
+            for h in h_eval_array(wrap01_array(xs - shift[cell // width, j:])).T:
+                p *= h
             flat[cell] = p
-            if len(cell) <= TAIL:
-                cell = cell[:0]  # every cell's f is final
-    inside = np.zeros((rows, width), dtype=bool)
-    if far is not None:
-        inside[need] = far > n / 2
-    return fx, inside
+            break
+        p *= h_eval_array(wrap01_array(coord(key, j) - shift[cell // width, j]))
+        flat[cell] = p
+    return fx
 
 
 def _lockstep(
@@ -271,10 +251,12 @@ def _lockstep(
     round's point draws and one answer draw per query.  stop(f, inside, r)
     marks the queries that end a trial, each (rows, queries); finished
     trials drop out.  The caller declares what stop reads: f only against r
-    and values of magnitude >= level (None: not at all), inside at every
-    query or only until a trial's first exit, r only if `answers`.  SPSA and
-    parameter-shift read all three in their update, so each of their steps
-    is one round; random search has none, so it draws only what stop reads.
+    and values of magnitude >= level (None: not at all, and f is None), inside
+    at every query or only until a trial's first exit (False after it), r
+    only if `answers`.  SPSA and parameter-shift read f and r in their
+    update, so each of their steps is one round; random search has none, so
+    it draws only what stop reads.  inside is decided here, for every
+    algorithm, on the rows that read it.
     Returns per trial the query that stopped it and its first query outside
     the hidden plateau up to then, 0 for none.
     """
@@ -300,18 +282,25 @@ def _lockstep(
                 key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
                 r = uniforms_at(key, n) if answers else None
                 coord = unit_uniforms_at
-                need = ((first_exit[rows] == 0) | every_inside).nonzero()[0]
             else:
                 width = per_round
                 u = uniform_block(bases, 1 + n + (k - 1) * (draws + per_round), draws + per_round)
                 u, r = u[:, :draws], u[:, draws:]
                 pts = wrap01_array(points(algo, x, k, u))
                 cells, key = pts.reshape(-1, n), np.arange(pts.size // n).reshape(-1, width)
-                coord, need = (lambda c, j: cells[c, j]), ()  # key: the cell's row in cells
+                coord = lambda c, j: cells[c, j]  # key: the cell's row in cells
             floor = level if r is None else np.minimum(abs(r), np.inf if level is None else level)
-            fx, inside = _cells(n, key, coord, trits, floor, need)
-            if x is not None:  # FAR summed over the whole block: faster than per coordinate
-                inside = far_count_array(pts, trits[:, None, :]) > n / 2
+            fx = None if floor is None else _cells(n, key, coord, trits, floor)
+            inside = np.zeros((len(rows), width), dtype=bool)
+            need = ((first_exit[rows] == 0) | every_inside).nonzero()[0]  # the rows stop reads
+            if len(need):
+                need = slice(None) if len(need) == len(rows) else need  # a view
+                if x is None:  # one coordinate at a time: no (cells, n) block of draws
+                    kn, tn = key[need], trits[need]
+                    far = sum(far_coords(coord(kn, j), tn[:, j, None]) for j in range(n))
+                else:  # FAR summed over the whole block: faster than per coordinate
+                    far = far_count_array(pts[need], trits[need][:, None, :])
+                inside[need] = far > n / 2
             q = np.arange(done + 1, done + width + 1)  # query numbers
             hit = stop(fx, inside, r) & (q <= m)
             fin = hit.any(axis=1)

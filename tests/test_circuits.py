@@ -217,7 +217,7 @@ def test_pruned_product_answers_every_comparison_as_f(tail, data, n, rows, per_r
         key = np.arange(rows)[:, None]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(training, "TAIL", tail)
-            fx, _ = _cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor, ())
+            fx = _cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor)
         return fx[:, 0]
 
     v = cut(floors)
@@ -262,7 +262,7 @@ def test_band_answers_every_comparison_as_f(data, n, rows, width):
         tied = float(h0.reshape(-1)[data.draw(st.integers(0, rows * width - 1))])
         floor = float(np.nextafter(tied, data.draw(st.sampled_from([tied, 0.0, 2.0]))))
     key = np.arange(rows * width).reshape(rows, width)
-    fx, _ = _cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor, ())
+    fx = _cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor)
     keep = np.abs(f) >= floor
     assert fx[keep].tobytes() == f[keep].tobytes()
     w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))[:, None]
@@ -283,8 +283,8 @@ def test_band_skips_h_outside_it():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "h_eval_array", h)
-        fx, _ = _cells(1, np.arange(2000).reshape(40, 50), lambda k, j: points.reshape(-1)[k],
-                       trits, 0.9, ())
+        fx = _cells(1, np.arange(2000).reshape(40, 50), lambda k, j: points.reshape(-1)[k],
+                    trits, 0.9)
     f = shifted_product_rows(points, trits[:, None, :])
     assert sum(evaluated) < 0.25 * f.size
     keep = np.abs(f) >= 0.9

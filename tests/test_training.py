@@ -11,7 +11,7 @@ from plateaulab.circuits import ShiftedProductFunction, shifted_product_rows
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import ClampedFunction, RandomStack, coupled_sample, sample_query
 from plateaulab.rng import advance, stream_bases, uniforms_at, unit_uniforms_at
-from plateaulab.torus import GridShift, TorusPoint, far_count_array, index_trits, wrap01_array
+from plateaulab.torus import GridShift, TorusPoint, index_trits, wrap01_array
 from plateaulab.training import (
     PSHIFT_SHIFT,
     PSHIFT_STEP,
@@ -364,6 +364,23 @@ def test_random_exit_time_evaluates_no_f():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("algo", training.ALGORITHMS)
+@pytest.mark.parametrize(("n", "seed", "count"), [(4, 11, 60), (5, 8, 40), (6, 2, 30)])
+def test_every_inside_changes_work_not_results(algo, n, seed, count):
+    # the train stop reads only f, so inside after a trial's first exit is
+    # work that every_inside=False skips; each setting has trials that run
+    # on after their first exit
+    target = 1.0 - default_alpha(n)
+    got = [
+        training._lockstep(algo, n, 300, 0, count, seed, lambda fx, inside, r: fx >= target,
+                           abs(target), every_inside=every, answers=False)
+        for every in (False, True)
+    ]
+    (stopped, first), (stopped_all, first_all) = got
+    assert np.array_equal(stopped, stopped_all) and np.array_equal(first, first_all)
+    assert np.any((first > 0) & ((stopped == 0) | (stopped > first)))
+
+
 # TAIL 0 cuts f coordinate by coordinate to the end; 10**9 multiplies out every
 # cell left after coordinate 0 as one block
 @pytest.mark.parametrize("tail", [0, training.TAIL, 10**9], ids=["cut", "tail", "block"])
@@ -378,45 +395,35 @@ def test_random_exit_time_evaluates_no_f():
                     st.floats(0.0, 1 / 3, exclude_max=True)),
     answers=st.booleans(),
     shifts=st.lists(st.integers(0, 3**8 - 1), min_size=1, max_size=6),
-    exits=st.lists(st.booleans(), min_size=6, max_size=6),
 )
-@example(n=8, seed=1, done=0, width=100, level=0.1, answers=False,
-         shifts=[5, 0, 6560, 17], exits=[True, False, False, True, False, False])
-@example(n=5, seed=2, done=2**40, width=37, level=1 / 3, answers=True,
-         shifts=[242, 1, 100], exits=[False, True, True, False, False, False])
-@example(n=7, seed=4, done=3, width=60, level=1.0, answers=True,
-         shifts=[0, 2186], exits=[True, True, False, False, False, False])
-@example(n=1, seed=3, done=7, width=1, level=None, answers=True,
-         shifts=[2], exits=[True] * 6)
-def test_random_cells_equal_whole_points(
-    tail, n, seed, done, width, level, answers, shifts, exits
-):
-    # _cells on random search's advanced streams against the same cells built
-    # point by point: draws 1 + (n+1)(done+q) + j of each row's stream,
-    # j = 0..n, with the plain product shifted_product_rows and the far count
-    # far_count_array
+@example(n=8, seed=1, done=0, width=100, level=0.1, answers=False, shifts=[5, 0, 6560, 17])
+@example(n=5, seed=2, done=2**40, width=37, level=1 / 3, answers=True, shifts=[242, 1, 100])
+@example(n=7, seed=4, done=3, width=60, level=1.0, answers=True, shifts=[0, 2186])
+@example(n=1, seed=3, done=7, width=1, level=None, answers=True, shifts=[2])
+def test_random_cells_equal_whole_points(tail, n, seed, done, width, level, answers, shifts):
+    # random search's advanced streams against the same cells built point by
+    # point: draws 1 + (n+1)(done+q) + j of each row's stream, j = 0..n.
+    # _lockstep's FAR loop reads x_j as unit_uniforms_at(key, j), and _cells'
+    # f is the plain product shifted_product_rows
     rows = len(shifts)
-    exits = np.array(exits[:rows])
     trits = index_trits(np.array(shifts) % 3**n, n)
     bases = stream_bases(seed, np.arange(rows))
     key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
     r = uniforms_at(key, n) if answers else None
-    floor = None if level is None else level if r is None else np.minimum(np.abs(r), level)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "TAIL", tail)
-        fx, inside = training._cells(n, key, unit_uniforms_at, trits, floor, np.flatnonzero(exits))
     draws = 1 + (n + 1) * np.arange(done, done + width)[:, None] + np.arange(n + 1)
     u = uniforms_at(bases[:, None, None], draws)  # (rows, width, n + 1)
     x = (u[..., :n] + 1.0) / 2.0
-    assert inside.shape == (rows, width)
-    assert np.array_equal(inside[exits], (far_count_array(x, trits[:, None, :]) > n / 2)[exits])
+    assert unit_uniforms_at(key[..., None], np.arange(n)).tobytes() == x.tobytes()
     if answers:
         assert r.tobytes() == u[..., n].tobytes()
     else:
         assert r is None
     if level is None:
-        assert fx is None
         return
+    floor = level if r is None else np.minimum(np.abs(r), level)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "TAIL", tail)
+        fx = training._cells(n, key, unit_uniforms_at, trits, floor)
     f = shifted_product_rows(x, trits[:, None, :])
     floor = np.minimum(np.abs(u[..., n]), level) if answers else np.full(f.shape, level)
     decided = np.abs(f) >= floor
@@ -436,6 +443,11 @@ def test_random_cells_equal_whole_points(
         (trainer_trials_chunk, ("pshift", 12, default_alpha(12), 3000, 0, 200, 5)),
         # README's SPSA example at a budget of 1,000, which traces in under a second
         (trainer_trials_chunk, ("spsa", 6, default_alpha(6), 1000, 0, 200, 5)),
+        # random search at n = 30, within 16 BLOCK_BYTES: _lockstep counts FAR one
+        # coordinate at a time, where a (cells, n) block of draws would peak at 46-49
+        (exit_time_chunk, ("random", 30, 50, 0, 1000, 5)),
+        (divergence_chunk, ("random", 30, 50, 0.0, 0, 1000, 5)),
+        (trainer_trials_chunk, ("random", 30, default_alpha(30), 3000, 0, 1000, 5)),
     ],
 )
 def test_random_search_chunk_peak_traced_allocation(chunk, args):
@@ -445,7 +457,8 @@ def test_random_search_chunk_peak_traced_allocation(chunk, args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * training.BLOCK_BYTES, peak / training.BLOCK_BYTES
+    bound = 16 if args[1] == 30 else 8
+    assert peak <= bound * training.BLOCK_BYTES, peak / training.BLOCK_BYTES
 
 
 # Exact laws of random search.  Its queries are iid uniform points, so a trial
