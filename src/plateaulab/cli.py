@@ -76,8 +76,9 @@ def _report(config: dict, columns: list[str], rows: list[dict], checks: list[dic
     }
 
 
-def _check(name: str, passed: bool, margin_sigmas=None) -> dict:
-    return {"name": name, "passed": bool(passed), "margin_sigmas": margin_sigmas}
+def _check(name: str, passed: bool, margin_sigmas=None, worst=None) -> dict:
+    """A check's JSON entry; worst is the m of the row margin_sigmas comes from."""
+    return {"name": name, "passed": bool(passed), "margin_sigmas": margin_sigmas, "worst": worst}
 
 
 # --- experiments: each returns (columns, rows, checks) -----------------------
@@ -135,7 +136,10 @@ def _bounds(args):
 
 
 def _cdf_table(cdf: list[game.CdfRow], check_name: str):
-    checks = [_check(check_name, not any(r.exceeded for r in cdf))]
+    # the margin is the least (bound - cdf) / stderr over the rows with stderr > 0
+    margins = [((r.bound - r.cdf) / r.stderr, r.m) for r in cdf if r.stderr > 0]
+    margin, worst = min(margins, default=(None, None))
+    checks = [_check(check_name, not any(r.exceeded for r in cdf), margin, worst)]
     rows = [vars(r).copy() for r in cdf]  # shallow: dataclasses.asdict deep-copies
     return ["m", "cdf", "stderr", "bound", "exceeded"], rows, checks
 

@@ -12,10 +12,9 @@ runs every trial of a chunk through them together; `run_trainer` runs
 them on one row, query by query, as the reference.  Each lockstep step
 computes f of its cells with `_cells`: random search passes the cells'
 advanced streams and (u + 1) / 2 draw, SPSA and parameter-shift the round's
-wrapped points, flattened to cells.  `_cells` reads f only against a floor,
-so it evaluates h only where |f| can still reach it: with one floor for
-every cell, only on coordinate 0's band, and once at most TAIL cells are
-undecided, it multiplies out their remaining coordinates as one block.
+wrapped points, flattened to cells.  `_cells` reads f only against a floor:
+a bound pass on the table H_BOUND of |h| drops the cells whose |f| cannot
+reach it, which read 0.0, and h runs only on the rest, whose f is exact.
 `_lockstep` decides inside itself, for every algorithm, on the rows that read it.
 """
 from __future__ import annotations
@@ -175,69 +174,56 @@ def run_trainer(
         x = update(algo, x, k, u, np.array([answers]))
 
 
-TAIL = 256  # undecided cells from which _cells multiplies out f as one block (measured)
-BAND_DELTA = 1e-9  # margin of the coordinate-0 band, far above h's float error
-
-
-def _band(d, floor):
-    """Indices of the wrapped coordinates d at which |h(d)| can reach floor > 0:
-    s = |d - 1/2| >= lo (h >= floor - BAND_DELTA) or s <= hi (h <= -(floor -
-    BAND_DELTA)), from h = 1/3 + (2/3) cos(2 pi d) and cos(2 pi d) = -cos(2 pi s)."""
-    c = 1.5 * (floor - BAND_DELTA)
-    lo, hi = (0.5 - math.acos(min(max(v, -1.0), 1.0)) / (2.0 * math.pi)
-              for v in (c - 0.5, -c - 0.5))
-    s = np.abs(d - 0.5)
-    return ((s >= lo) | (s <= hi)).nonzero()[0]
+TAIL = 128  # undecided cells from which _cells multiplies out f as one block (measured)
+BINS = 4096  # even, so h's turning point 1/2 is a bin edge
+_H_ENDS = np.abs(h_eval_array(np.arange(BINS + 1) / BINS))
+H_BOUND = np.maximum(_H_ENDS[:-1], _H_ENDS[1:]) + 1e-14  # |fl(h(d))| <= H_BOUND[int(d * BINS)]
+H_BOUND.flags.writeable = False
 
 
 def _cells(n, key, coord, trits, floor):
-    """f of a step's (rows, width) cells: cell (row, q) has key key[row, q] and
-    shift trits[row], and coord(k, j) gives x_j, in [0, 1), of the cells whose
-    keys are k (k and j broadcast).
+    """f of a step's (rows, width) cells against a floor, a scalar or one per
+    cell: cell (row, q) has key key[row, q] and shift trits[row], and coord(k,
+    j) gives x_j, in [0, 1), of the cells whose keys are k (k and j broadcast).
+    A cell reads f if |f| >= floor and 0.0 otherwise; 0.0 answers p >= t and
+    t < p as f does for every |t| >= floor.
 
-    f is cut at floor, a scalar or one per cell: the cells whose running
-    product p has |p| >= floor are compacted arrays of flat index, key, floor
-    and p that shrink once per coordinate, and a cell leaves with p.  As |h|
-    <= 1 and rounding is monotone, |f| <= |p|, so p answers p >= t and t < p
-    as f does for |t| >= floor, and is shifted_product_rows' f if |f| >=
-    floor.  Once at most TAIL cells are left, their remaining coordinates are
-    drawn as one block and multiplied in coordinate order: the plain product,
-    so their f is exact.
-
-    A scalar floor F > 0 first bands coordinate 0: h runs only on the cells
-    _band keeps, and every other cell reads 0.0.  Those cells have |h(d_0)| <
-    F - BAND_DELTA up to the band's rounding, a few 1e-16 in s and so about
-    1e-15 in h; with h's float error below 3e-15, |fl(h)| < F, so the cut
-    above would stop them at p = fl(h) anyway, and 0.0 answers p >= t and
-    t < p as p does for |t| >= F > 0.  Per-cell floors skip the band, as one
-    arccos per cell costs as much as the cos it would save."""
+    A bound pass decides most cells without h.  Coordinate by coordinate, an
+    undecided cell's running bound U is multiplied by H_BOUND[int(d_j * BINS)],
+    d_j = wrap01(x_j - a_j), and the cells with U < floor read 0.0.  H_BOUND[k]
+    bounds |fl(h(d))| for every float d in bin k, [k, k + 1) / BINS:
+    - h is monotone on [0, 1/2] and [1/2, 1], and BINS is even, so |h| peaks at a bin end;
+    - k = int(d * BINS) is exact, as BINS is a power of 2 and d lies in [0, 1);
+    - 1e-14 covers the float error of h at d and at that bin end.
+    Rounding is monotone, so U >= |fl(f)|, and a cell with U < floor has |f| <
+    floor.  Once at most TAIL cells are undecided, or after coordinate n, the
+    rest get the plain product of their n coordinates in coordinate order, so
+    their f is exact: as one block if at most TAIL (a step of at most TAIL
+    cells skips the bound pass), else one coordinate at a time, so no (cells,
+    n) block is held."""
     rows, width = key.shape
     shift = trits / 3.0  # the a_j that points subtract, per row
-    d = wrap01_array(coord(key, 0) - shift[:, :1])
-    key, per_cell = key.reshape(-1), np.ndim(floor) > 0
-    if per_cell or not floor > 0:
-        fx = h_eval_array(d)
-        p = flat = fx.reshape(-1)
-        cell = np.arange(fx.size)  # the flat cells whose f is undecided
-    else:
-        cell = _band(d.reshape(-1), floor)
-        fx = np.zeros((rows, width))
-        flat, key = fx.reshape(-1), key[cell]
-        p = flat[cell] = h_eval_array(d.reshape(-1)[cell])
-    floor = np.reshape(floor, -1)  # (1,) for one floor for every cell
-    for j in range(1, n):
-        keep = (np.abs(p) >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
-        cell, p, key = cell[keep], p[keep], key[keep]
-        floor = floor[keep] if per_cell else floor
-        if len(cell) <= TAIL:  # the plain product of the last cells' remaining coordinates
-            xs = coord(key[:, None], np.arange(j, n))
-            for h in h_eval_array(wrap01_array(xs - shift[cell // width, j:])).T:
-                p *= h
-            flat[cell] = p
+    cell, keys = np.arange(key.size), key.reshape(-1)  # undecided cells: flat index, key
+    floor, per_cell = np.reshape(floor, -1), np.ndim(floor) > 0  # (1,) for one floor
+    bound = 1.0
+    for j in range(n):
+        if len(cell) <= TAIL:
             break
-        p *= h_eval_array(wrap01_array(coord(key, j) - shift[cell // width, j]))
-        flat[cell] = p
-    return fx
+        # coordinate 0 of every cell subtracts a_0 by broadcast, not by a gather
+        v = coord(key, 0) - shift[:, :1] if j == 0 else coord(keys, j) - shift[cell // width, j]
+        bound = bound * H_BOUND.take((wrap01_array(v) * BINS).astype(np.intp).reshape(-1))
+        keep = (bound >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
+        cell, keys, bound = cell[keep], keys[keep], bound[keep]
+        floor = floor[keep] if per_cell else floor
+    row = cell // width
+    if len(cell) <= TAIL:
+        hs = h_eval_array(wrap01_array(coord(keys[:, None], np.arange(n)) - shift[row])).T
+    else:
+        hs = (h_eval_array(wrap01_array(coord(keys, j) - shift[row, j])) for j in range(n))
+    p = functools.reduce(np.multiply, hs)
+    fx = np.zeros(rows * width)
+    fx[cell] = np.where(np.abs(p) >= floor, p, 0.0)
+    return fx.reshape(rows, width)
 
 
 def _lockstep(

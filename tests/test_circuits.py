@@ -223,6 +223,7 @@ def test_pruned_product_answers_every_comparison_as_f(tail, data, n, rows, per_r
     v = cut(floors)
     exact = np.abs(f) >= floors
     assert np.array_equal(v[exact], f[exact])
+    assert np.all(v[~exact] == 0.0)
     sign = np.where(data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows)), 1.0, -1.0)
     w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))
     for t in (floors, -floors, sign * (floors + w)):
@@ -236,16 +237,16 @@ def test_pruned_product_answers_every_comparison_as_f(tail, data, n, rows, per_r
         assert np.array_equal(v1 >= t, f >= t) and np.array_equal(t < v1, t < f)
 
 
-# scalar floors of _cells' coordinate-0 band: 1/3 is where the negative lobe
+# scalar floors of _cells' bound pass: 1/3 is where the negative lobe
 # (min h = -1/3) stops reaching the floor
 _THIRD = 1 / 3
-_BAND_FLOORS = [0.0, _THIRD - 1e-9, float(np.nextafter(_THIRD, 0.0)), _THIRD,
-                float(np.nextafter(_THIRD, 1.0)), _THIRD + 1e-9, 1.0, np.inf]
+_SCALAR_FLOORS = [0.0, _THIRD - 1e-9, float(np.nextafter(_THIRD, 0.0)), _THIRD,
+                  float(np.nextafter(_THIRD, 1.0)), _THIRD + 1e-9, 1.0, np.inf]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), n=st.integers(1, 8), rows=st.integers(1, 5), width=st.integers(1, 8))
-def test_band_answers_every_comparison_as_f(data, n, rows, width):
+def test_bound_pass_answers_every_comparison_as_f(data, n, rows, width):
     coords = st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(_GRID + [0.5, 1 / 6, 0.25])
     points = np.array(
         data.draw(st.lists(coords, min_size=rows * width * n, max_size=rows * width * n))
@@ -256,23 +257,29 @@ def test_band_answers_every_comparison_as_f(data, n, rows, width):
     f = shifted_product_rows(points, trits[:, None, :])
     # a floor from the list, or tied to one cell's |h(d_0)|: equal, 1 ulp below or above
     if data.draw(st.booleans()):
-        floor = data.draw(st.sampled_from(_BAND_FLOORS))
+        floor = data.draw(st.sampled_from(_SCALAR_FLOORS))
     else:
         h0 = np.abs(h_eval_array(wrap01_array(points[..., 0] - trits[:, :1] / 3.0)))
         tied = float(h0.reshape(-1)[data.draw(st.integers(0, rows * width - 1))])
         floor = float(np.nextafter(tied, data.draw(st.sampled_from([tied, 0.0, 2.0]))))
     key = np.arange(rows * width).reshape(rows, width)
-    fx = _cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor)
+    # at most 40 cells: TAIL 0 screens every coordinate, 1 and 4 switch to
+    # the exact block part way through the bound pass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "TAIL", data.draw(st.sampled_from([0, 1, 4])))
+        fx = _cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor)
     keep = np.abs(f) >= floor
     assert fx[keep].tobytes() == f[keep].tobytes()
+    assert np.all(fx[~keep] == 0.0)
     w = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=rows, max_size=rows)))[:, None]
     for t in (floor, -floor, floor + w, -floor - w):
         assert np.array_equal(fx >= t, f >= t)
         assert np.array_equal(t < fx, t < f)
 
 
-def test_band_skips_h_outside_it():
-    # at floor 0.9 only |d_0| <= 0.0883 (mod 1) can reach it: 18% of the cells
+def test_bound_table_skips_h_where_f_cannot_reach_the_floor():
+    # at floor 0.9 only |d_0| <= 0.0883 (mod 1) can reach it: 18% of the cells,
+    # and h runs on those H_BOUND keeps
     rng = np.random.default_rng(5)
     points, trits = rng.random((40, 50, 1)), rng.integers(0, 3, (40, 1))
     evaluated = []

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tracemalloc
 from pathlib import Path
@@ -339,6 +341,54 @@ def test_diverge_csv(tmp_path):
     assert lines[0] == "n,m,trials,divergence_rate,stderr,bound,exceeded"
 
 
+def _json_report(tmp_path, argv):
+    out = tmp_path / "r.json"
+    code = main([*argv, "--format", "json", "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_cdf_margin_pinned_at_a_small_config(tmp_path):
+    # row 2, not row 1, is the least (bound - cdf) / stderr here
+    code, report = _json_report(
+        tmp_path, ["game", "--n", "1", "--strategy", "grid", "--trials", "500", "--m-max", "10",
+                   "--seed", "9"])
+    (check,) = report["checks"]
+    assert code == EXIT_OK and check["passed"]
+    assert (check["margin_sigmas"], check["worst"]) == (0.2205994565770452, 2)
+    row = report["rows"][1]
+    assert row["m"] == 2 and check["margin_sigmas"] == (row["bound"] - row["cdf"]) / row["stderr"]
+
+
+@pytest.mark.parametrize(
+    "argv, violated",
+    [
+        *[(["game", "--n", "4", "--trials", "2500", "--m-max", "15", "--strategy", name], False)
+          for name in sorted(game.STRATEGIES)],
+        *[(["exit-time", "--n", "6", "--m-max", "10", "--trials", trials], False)
+          for trials in ("1", "2", "100", "999", "1001", "1500")],
+        # a rate of 0 puts every bound at 0, so every row with cdf > 0 exceeds it
+        (["exit-time", "--n", "6", "--m-max", "10", "--trials", "1500"], True),
+    ],
+)
+def test_cdf_margin_below_minus_3_exactly_when_the_check_fails(tmp_path, monkeypatch, argv,
+                                                                violated):
+    if violated:
+        monkeypatch.setattr(training, "p_exact_fraction", lambda n: 0)
+        monkeypatch.setattr(training, "delta_bound", lambda n: 0.0)
+    code, report = _json_report(tmp_path, [*argv, "--seed", "9"])
+    (check,) = report["checks"]
+    assert check["passed"] is not violated
+    assert code == (EXIT_BOUND_VIOLATION if violated else EXIT_OK)
+    margin = check["margin_sigmas"]
+    assert (margin is not None and margin < -3) == violated
+    rows = [r for r in report["rows"] if r["stderr"] > 0]
+    if rows:  # else a single trial, every cdf 0 or 1
+        assert min(((r["bound"] - r["cdf"]) / r["stderr"], r["m"]) for r in rows) == (
+            margin, check["worst"])
+    else:
+        assert margin is None and check["worst"] is None
+
+
 def test_verify_circuit(tmp_path):
     out = tmp_path / "v.json"
     code = main(
@@ -519,4 +569,14 @@ _COMMANDS = {
 )
 def test_random_configs_never_crash(command_argv, common):
     """Random small configs of every subcommand exit 0, 1 or 2: never 3, never a traceback."""
-    assert main(command_argv + common) in (EXIT_OK, EXIT_BOUND_VIOLATION, EXIT_BAD_CONFIG)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(command_argv + common)
+    assert code in (EXIT_OK, EXIT_BOUND_VIOLATION, EXIT_BAD_CONFIG)
+    if code != EXIT_BAD_CONFIG and "json" in common and command_argv[0] in ("game", "exit-time"):
+        # a CDF check fails where its margin is below -3 or a row of stderr 0 exceeds its bound
+        report = json.loads(out.getvalue())
+        (check,) = report["checks"]
+        margin = check["margin_sigmas"]
+        flat = any(r["stderr"] == 0 and r["cdf"] > r["bound"] for r in report["rows"])
+        assert check["passed"] is not ((margin is not None and margin < -3) or flat)

@@ -7,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plateaulab import training
-from plateaulab.circuits import ShiftedProductFunction, shifted_product_rows
+from plateaulab.circuits import ShiftedProductFunction, h_eval_array, shifted_product_rows
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import ClampedFunction, RandomStack, coupled_sample, sample_query
 from plateaulab.rng import advance, stream_bases, uniforms_at, unit_uniforms_at
 from plateaulab.torus import GridShift, TorusPoint, index_trits, wrap01_array
 from plateaulab.training import (
+    BINS,
+    H_BOUND,
     PSHIFT_SHIFT,
     PSHIFT_STEP,
     SPSA_A,
@@ -429,7 +431,33 @@ def test_random_cells_equal_whole_points(tail, n, seed, done, width, level, answ
     decided = np.abs(f) >= floor
     assert fx.shape == (rows, width)
     assert fx[decided].tobytes() == f[decided].tobytes()
-    assert np.all(np.abs(fx[~decided]) < floor[~decided])
+    assert np.all(fx[~decided] == 0.0)
+
+
+def test_h_bound_covers_h_in_every_bin():
+    # _cells' bound pass reads H_BOUND[int(d * BINS)] as a bound on |fl(h(d))|:
+    # checked at both ends of every bin, at h's zeros 1/3 and 2/3, its turning
+    # point 1/2 and 1/6, each +-1 ulp, and at 8 random points of every bin
+    k = np.arange(BINS)
+    ends = np.concatenate([k / BINS, np.nextafter((k + 1) / BINS, 0.0)])
+    assert np.array_equal((ends * BINS).astype(np.intp), np.tile(k, 2))  # int(d * BINS) is exact
+    special = np.array([1 / 3, 2 / 3, 1 / 2, 1 / 6])
+    rng = np.random.default_rng(28)
+    d = np.concatenate([ends, special, np.nextafter(special, 0.0), np.nextafter(special, 1.0),
+                        ((k[:, None] + rng.random((BINS, 8))) / BINS).reshape(-1)])
+    assert np.all(np.abs(h_eval_array(d)) <= H_BOUND[(d * BINS).astype(np.intp)])
+    # the margin covers h's float error: H_BOUND[k] exceeds the exact max of
+    # |h| on bin k, at one of its ends, by more than h's largest error at any
+    # d above (h computed in long double as the exact value)
+    pi = np.arccos(np.longdouble(-1.0))
+
+    def exact(t):
+        return np.longdouble(1) / 3 + np.longdouble(2) / 3 * np.cos(2 * pi * np.longdouble(t))
+
+    err = np.max(np.abs(h_eval_array(d) - exact(d)))
+    top = np.abs(exact(np.arange(BINS + 1) / BINS))
+    assert np.all(H_BOUND >= np.maximum(top[:-1], top[1:]) + err)
+    assert not H_BOUND.flags.writeable
 
 
 @pytest.mark.parametrize(
