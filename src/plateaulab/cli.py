@@ -77,7 +77,7 @@ def _report(config: dict, columns: list[str], rows: list[dict], checks: list[dic
 
 
 def _check(name: str, passed: bool, margin_sigmas=None, worst=None) -> dict:
-    """A check's JSON entry; worst is the m of the row margin_sigmas comes from."""
+    """A check's JSON entry; worst is the m of a CDF check's worst row."""
     return {"name": name, "passed": bool(passed), "margin_sigmas": margin_sigmas, "worst": worst}
 
 
@@ -136,9 +136,11 @@ def _bounds(args):
 
 
 def _cdf_table(cdf: list[game.CdfRow], check_name: str):
-    # the margin is the least (bound - cdf) / stderr over the rows with stderr > 0
+    # the margin is the least (bound - cdf) / stderr over the rows with stderr > 0, unless a
+    # row with stderr 0 exceeds its bound: then the first such row is worst, with no margin
+    flat = [r.m for r in cdf if r.stderr == 0 and r.exceeded]
     margins = [((r.bound - r.cdf) / r.stderr, r.m) for r in cdf if r.stderr > 0]
-    margin, worst = min(margins, default=(None, None))
+    margin, worst = (None, flat[0]) if flat else min(margins, default=(None, None))
     checks = [_check(check_name, not any(r.exceeded for r in cdf), margin, worst)]
     rows = [vars(r).copy() for r in cdf]  # shallow: dataclasses.asdict deep-copies
     return ["m", "cdf", "stderr", "bound", "exceeded"], rows, checks
@@ -193,10 +195,12 @@ def _mi(args):
     mi, stderr = info.transcript_mi(
         args.n, spec, args.m, args.transcripts, args.seed, args.workers
     )
-    ok = -3 * stderr <= mi <= args.n * info.LOG2_3 + 3 * stderr
+    top = args.n * info.LOG2_3  # n log2 3 bits: the entropy of the hidden shift
+    ok = -3 * stderr <= mi <= top + 3 * stderr
+    margin = min(mi, top - mi) / stderr if stderr > 0 else None
     columns = ["n", "m", "transcripts", "mi_bits", "stderr"]
     row = dict(zip(columns, (args.n, args.m, args.transcripts, mi, stderr)))
-    return columns, [row], [_check("mi-information-range", ok)]
+    return columns, [row], [_check("mi-information-range", ok, margin)]
 
 
 def _identify(args):

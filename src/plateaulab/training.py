@@ -9,13 +9,15 @@ bounds under test quantify over every training algorithm.
 Each trainer is one `points` and one `update` function of a round: the
 queries whose points are fixed before any of their answers.  `_lockstep`
 runs every trial of a chunk through them together; `run_trainer` runs
-them on one row, query by query, as the reference.  Each lockstep step
-computes f of its cells with `_cells`: random search passes the cells'
-advanced streams and (u + 1) / 2 draw, SPSA and parameter-shift the round's
-wrapped points, flattened to cells.  `_cells` reads f only against a floor:
-a bound pass on the table H_BOUND of |h| drops the cells whose |f| cannot
-reach it, which read 0.0, and h runs only on the rest, whose f is exact.
-`_lockstep` decides inside itself, for every algorithm, on the rows that read it.
+them on one row, query by query, as the reference.  A lockstep trial stops
+at the first query that meets the first rule that applies: with a target,
+f >= target (train); else with eta, a query inside the hidden plateau
+whose answer draw r splits f from eta (diverge); else a query outside the
+plateau (exit-time).  f is read against the answer draw r and |target|
+only, random search draws r only with eta, and inside is read at every
+query with eta, else only until a trial's first exit.  `_cells` computes
+f against that floor: cells that the bound table H_BOUND of |h| puts
+below it read 0.0, and only the rest get h and their exact f.
 """
 from __future__ import annotations
 
@@ -227,26 +229,28 @@ def _cells(n, key, coord, trits, floor):
 
 
 def _lockstep(
-    algo: str, n: int, m: int, start: int, count: int, seed: int, stop,
-    level: Optional[float], every_inside: bool = True, answers: bool = True,
+    algo: str, n: int, m: int, start: int, count: int, seed: int,
+    target: Optional[float] = None, eta: Optional[float] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run trials [start, start+count) of algo together for up to m queries.
 
     Trial t draws what run_trainer on RandomStack(seed, t) draws: the hidden
     shift from draw 0, the start point (SPSA, parameter-shift), then each
-    round's point draws and one answer draw per query.  stop(f, inside, r)
-    marks the queries that end a trial, each (rows, queries); finished
-    trials drop out.  The caller declares what stop reads: f only against r
-    and values of magnitude >= level (None: not at all, and f is None), inside
-    at every query or only until a trial's first exit (False after it), r
-    only if `answers`.  SPSA and parameter-shift read f and r in their
-    update, so each of their steps is one round; random search has none, so
-    it draws only what stop reads.  inside is decided here, for every
-    algorithm, on the rows that read it.
+    round's point draws and one answer draw r per query.  A trial stops at
+    the first query that meets the first rule that applies, and drops out:
+    - with target (train): f >= target;
+    - else with eta (diverge): inside the hidden plateau and (r < f) != (r < eta);
+    - else (exit-time): outside the hidden plateau.
+    f is read only against r and |target|, the floor _cells gets.  SPSA and
+    parameter-shift read f and r in their update, so each of their steps is
+    one round; random search draws r only with eta, and reads no f with
+    neither.  inside is read at every query with eta, else only until a
+    trial's first exit (False after it).
     Returns per trial the query that stopped it and its first query outside
     the hidden plateau up to then, 0 for none.
     """
     draws, per_round = _round_shape(algo, n)
+    level = np.inf if target is None else abs(target)
     stopped = np.zeros(count, dtype=np.int64)
     first_exit = np.zeros(count, dtype=np.int64)
     # rows per sub-block, and random search's (trial, query) cells per step: a
@@ -266,7 +270,7 @@ def _lockstep(
                 width = min(block // len(rows), m - done, done + 1)
                 # draw j of cell (row, q) is uniforms_at(key[row, q], j)
                 key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
-                r = uniforms_at(key, n) if answers else None
+                r = None if eta is None else uniforms_at(key, n)
                 coord = unit_uniforms_at
             else:
                 width = per_round
@@ -275,10 +279,10 @@ def _lockstep(
                 pts = wrap01_array(points(algo, x, k, u))
                 cells, key = pts.reshape(-1, n), np.arange(pts.size // n).reshape(-1, width)
                 coord = lambda c, j: cells[c, j]  # key: the cell's row in cells
-            floor = level if r is None else np.minimum(abs(r), np.inf if level is None else level)
-            fx = None if floor is None else _cells(n, key, coord, trits, floor)
+            fx = None if r is None and target is None else _cells(
+                n, key, coord, trits, level if r is None else np.minimum(abs(r), level))
             inside = np.zeros((len(rows), width), dtype=bool)
-            need = ((first_exit[rows] == 0) | every_inside).nonzero()[0]  # the rows stop reads
+            need = ((first_exit[rows] == 0) | (eta is not None)).nonzero()[0]  # rows that read it
             if len(need):
                 need = slice(None) if len(need) == len(rows) else need  # a view
                 if x is None:  # one coordinate at a time: no (cells, n) block of draws
@@ -288,7 +292,8 @@ def _lockstep(
                     far = far_count_array(pts[need], trits[need][:, None, :])
                 inside[need] = far > n / 2
             q = np.arange(done + 1, done + width + 1)  # query numbers
-            hit = stop(fx, inside, r) & (q <= m)
+            hit = (fx >= target if target is not None else ~inside if eta is None
+                   else inside & ((r < fx) != (r < eta))) & (q <= m)
             fin = hit.any(axis=1)
             last = np.where(fin, hit.argmax(axis=1), min(width, m - done) - 1)
             out = ~inside & (q <= q[last][:, None])  # asked by the trial
@@ -309,11 +314,8 @@ def trainer_trials_chunk(
     algo: str, n: int, alpha: float, budget: int, start: int, count: int, seed: int
 ) -> list[tuple[int, int, bool, Optional[int]]]:
     """(trial, T_A, succeeded, T'_A) rows for trials [start, start+count)."""
-    target = 1.0 - alpha  # ShiftedProductFunction.max_value - alpha
-    hit, first_exit = _lockstep(
-        algo, n, budget, start, count, seed, lambda fx, inside, r: fx >= target, abs(target),
-        every_inside=False, answers=False,
-    )
+    # the target is ShiftedProductFunction.max_value - alpha
+    hit, first_exit = _lockstep(algo, n, budget, start, count, seed, target=1.0 - alpha)
     rows = zip(range(start, start + count), hit.tolist(), first_exit.tolist())
     return [(t, h or budget, h > 0, e or None) for t, h, e in rows]
 
@@ -341,11 +343,7 @@ def divergence_chunk(
     deterministic algorithm on the same stack, so their query points and
     inner states coincide; comparing outcomes is a complete divergence test.
     """
-    hit, _ = _lockstep(
-        algo, n, m, start, count, seed,
-        lambda fx, inside, r: inside & ((r < fx) != (r < eta)), np.inf,
-    )
-    return int(np.count_nonzero(hit))
+    return int(np.count_nonzero(_lockstep(algo, n, m, start, count, seed, eta=eta)[0]))
 
 
 def divergence_experiment(
@@ -374,10 +372,7 @@ def exit_time_chunk(
     algo: str, n: int, m_max: int, start: int, count: int, seed: int
 ) -> np.ndarray:
     """First-exit-round histogram (length m_max); censored runs drop out."""
-    hit, _ = _lockstep(
-        algo, n, m_max, start, count, seed, lambda fx, inside, r: ~inside, None, answers=False
-    )
-    return np.bincount(hit, minlength=m_max + 1)[1:]
+    return np.bincount(_lockstep(algo, n, m_max, start, count, seed)[0], minlength=m_max + 1)[1:]
 
 
 def exit_time_experiment(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -21,7 +22,8 @@ from plateaulab.cli import (
 from plateaulab.rng import BLOCK_BYTES, RandomStack
 from plateaulab.torus import GridShift, TorusPoint
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _read(path):
@@ -389,6 +391,70 @@ def test_cdf_margin_below_minus_3_exactly_when_the_check_fails(tmp_path, monkeyp
         assert margin is None and check["worst"] is None
 
 
+def test_cdf_row_of_stderr_0_that_fails_is_worst_without_a_margin(tmp_path):
+    # one trial: every row has stderr 0, and row m = 2 (cdf 1.0) exceeds its bound 0.936
+    code, report = _json_report(
+        tmp_path, ["exit-time", "--n", "6", "--trials", "1", "--m-max", "10", "--seed", "0"])
+    (check,) = report["checks"]
+    assert code == EXIT_BOUND_VIOLATION and not check["passed"]
+    assert (check["margin_sigmas"], check["worst"]) == (None, 2)
+    assert [r["m"] for r in report["rows"] if r["exceeded"]] == [2]
+
+
+def test_mi_margin_pinned_at_a_small_config(tmp_path):
+    # 0.3204 +- 0.0073 bits, far nearer 0 than n log2 3 = 3.17
+    code, report = _json_report(
+        tmp_path, ["mi", "--n", "2", "--m", "4", "--transcripts", "300", "--seed", str(DEFAULT_SEED)])
+    (check,) = report["checks"]
+    (row,) = report["rows"]
+    assert code == EXIT_OK and check["passed"] and check["worst"] is None
+    assert check["margin_sigmas"] == 43.790998113185125
+    assert check["margin_sigmas"] == row["mi_bits"] / row["stderr"]
+
+
+_COLUMNS = {
+    "verify-circuit": "n,trials,max_abs_dev",
+    "bounds": "n,delta,p_exact,p_hoeffding",
+    "game": "m,cdf,stderr,bound,exceeded",
+    "train": "trial,queries_total,succeeded,first_exit",
+    "exit-time": "m,cdf,stderr,bound,exceeded",
+    "diverge": "n,m,trials,divergence_rate,stderr,bound,exceeded",
+    "mi": "n,m,transcripts,mi_bits,stderr",
+    "identify": "n,trials,unique_rate,correct_rate,ambiguous",
+}
+_CAPS = {"--trials": 300, "--transcripts": 300, "--budget": 2000}
+
+
+def _readme_commands():
+    """The argv of each plateaulab line in README's "## Command line" sh block."""
+    text = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("plateaulab ")]
+
+
+def test_readme_lists_every_subcommand():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(argv[0] for argv in _readme_commands()) == sorted(commands) == sorted(_COLUMNS)
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_lines_run(tmp_path, argv):
+    # README's own lines, with sizes cut to test scale and --out into tmp_path
+    argv = list(argv)
+    for i, tok in enumerate(argv[:-1]):
+        if tok in _CAPS:
+            argv[i + 1] = str(min(int(argv[i + 1]), _CAPS[tok]))
+        elif tok == "--out":
+            argv[i + 1] = out = str(tmp_path / Path(argv[i + 1]).name)
+    assert main(argv) in (EXIT_OK, EXIT_BOUND_VIOLATION)  # identify may hit criterion 09
+    text = Path(out).read_text()
+    if "json" in argv:
+        report = json.loads(text)
+        assert ",".join(report["columns"]) == _COLUMNS[argv[0]] and report["checks"]
+    else:
+        assert text.splitlines()[0] == _COLUMNS[argv[0]]
+
+
 def test_verify_circuit(tmp_path):
     out = tmp_path / "v.json"
     code = main(
@@ -573,10 +639,14 @@ def test_random_configs_never_crash(command_argv, common):
     with contextlib.redirect_stdout(out):
         code = main(command_argv + common)
     assert code in (EXIT_OK, EXIT_BOUND_VIOLATION, EXIT_BAD_CONFIG)
-    if code != EXIT_BAD_CONFIG and "json" in common and command_argv[0] in ("game", "exit-time"):
-        # a CDF check fails where its margin is below -3 or a row of stderr 0 exceeds its bound
+    if code != EXIT_BAD_CONFIG and "json" in common and command_argv[0] in ("game", "exit-time", "mi"):
+        # a check fails where its margin is below -3, or where a CDF row of stderr 0
+        # exceeds its bound: the first such row is then worst, with no margin
         report = json.loads(out.getvalue())
         (check,) = report["checks"]
         margin = check["margin_sigmas"]
-        flat = any(r["stderr"] == 0 and r["cdf"] > r["bound"] for r in report["rows"])
-        assert check["passed"] is not ((margin is not None and margin < -3) or flat)
+        flat = [r["m"] for r in report["rows"]
+                if "cdf" in r and r["stderr"] == 0 and r["cdf"] > r["bound"]]
+        assert check["passed"] is not ((margin is not None and margin < -3) or bool(flat))
+        if flat:
+            assert (margin, check["worst"]) == (None, flat[0])

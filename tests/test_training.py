@@ -367,20 +367,25 @@ def test_random_exit_time_evaluates_no_f():
 
 
 @pytest.mark.parametrize("algo", training.ALGORITHMS)
-@pytest.mark.parametrize(("n", "seed", "count"), [(4, 11, 60), (5, 8, 40), (6, 2, 30)])
-def test_every_inside_changes_work_not_results(algo, n, seed, count):
-    # the train stop reads only f, so inside after a trial's first exit is
-    # work that every_inside=False skips; each setting has trials that run
-    # on after their first exit
-    target = 1.0 - default_alpha(n)
-    got = [
-        training._lockstep(algo, n, 300, 0, count, seed, lambda fx, inside, r: fx >= target,
-                           abs(target), every_inside=every, answers=False)
-        for every in (False, True)
-    ]
-    (stopped, first), (stopped_all, first_all) = got
-    assert np.array_equal(stopped, stopped_all) and np.array_equal(first, first_all)
-    assert np.any((first > 0) & ((stopped == 0) | (stopped > first)))
+def test_train_stops_obey_the_first_exit_law(algo):
+    # exit-time (no target) and train (target 1 - alpha) on the same draws ask
+    # the same queries until either stops, so train's T'_A is exit-time's stop
+    # unless train succeeds first.  At the default alpha the target 2 delta
+    # exceeds sup |f| on the plateau (below delta), so a success lies outside it.
+    kinds = np.zeros(3, dtype=np.int64)  # success after an exit, success first, none
+    for n in (4, 5, 6, 8):
+        for seed in (3, 29):
+            stop_e, first_e = training._lockstep(algo, n, 300, 0, 200, seed)
+            assert np.array_equal(stop_e, first_e)
+            for alpha in (default_alpha(n), 0.9, 1.3):
+                stop, first = training._lockstep(algo, n, 300, 0, 200, seed, target=1.0 - alpha)
+                same = (first > 0) | (stop == 0)
+                assert np.array_equal(first[same], stop_e[same])
+                assert np.all((stop_e[~same] == 0) | (stop_e[~same] > stop[~same]))
+                if alpha == default_alpha(n):
+                    assert np.all((first[stop > 0] > 0) & (first <= stop)[stop > 0])
+                kinds += [np.sum(same & (stop > 0)), np.sum(~same), np.sum(stop == 0)]
+    assert np.all(kinds > 0), kinds
 
 
 # TAIL 0 cuts f coordinate by coordinate to the end; 10**9 multiplies out every
