@@ -367,6 +367,23 @@ def test_random_exit_time_evaluates_no_f():
 
 
 @pytest.mark.parametrize("algo", training.ALGORITHMS)
+@pytest.mark.parametrize(("n", "seed", "count"), [(4, 11, 60), (5, 8, 40), (6, 2, 30)])
+def test_every_inside_changes_work_not_results(algo, n, seed, count):
+    # the train stop reads only f, so inside after a trial's first exit is
+    # work that a target alone skips; eta adds inside at every query and r,
+    # but under a target it decides no stop.  Each setting has trials that
+    # run on after their first exit
+    target = 1.0 - default_alpha(n)
+    got = [
+        training._lockstep(algo, n, 300, 0, count, seed, target=target, eta=eta)
+        for eta in (None, 0.0)
+    ]
+    (stopped, first), (stopped_all, first_all) = got
+    assert np.array_equal(stopped, stopped_all) and np.array_equal(first, first_all)
+    assert np.any((first > 0) & ((stopped == 0) | (stopped > first)))
+
+
+@pytest.mark.parametrize("algo", training.ALGORITHMS)
 def test_train_stops_obey_the_first_exit_law(algo):
     # exit-time (no target) and train (target 1 - alpha) on the same draws ask
     # the same queries until either stops, so train's T'_A is exit-time's stop
