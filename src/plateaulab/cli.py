@@ -1,11 +1,11 @@
 """Batch experiment runner.
 
 Each subcommand runs one verification experiment, writes a CSV table or a
-JSON report, and exits 0 if every bound check passed, 1 if a statistical
-bound was violated beyond 3 standard errors, 2 on invalid configuration
-and 3 on an internal error (any other exception, an OSError included).
-Runs are deterministic: the same argv (including --seed) produces
-byte-identical CSV regardless of --workers.
+JSON report, and exits 0 if every check passed, 1 if a row of a check lies
+more than 3 stderr above its bound (one rule for all, _check; an exact check
+has stderr 0), 2 on invalid configuration and 3 on an internal error (any
+other exception, an OSError included).  Runs are deterministic: the same
+argv (including --seed) produces byte-identical CSV regardless of --workers.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import circuits, game, info, training
 from .rng import BLOCK_BYTES, advance, first_indices, stream_bases, uniform_block
-from .torus import index_trits
+from .torus import N_MAX, index_trits
 
 DEFAULT_SEED = 1234567891
 SEED_ENV_VAR = "PLATEAULAB_SEED"
@@ -76,9 +76,17 @@ def _report(config: dict, columns: list[str], rows: list[dict], checks: list[dic
     }
 
 
-def _check(name: str, passed: bool, margin_sigmas=None, worst=None) -> dict:
-    """A check's JSON entry; worst is the m of a CDF check's worst row."""
-    return {"name": name, "passed": bool(passed), "margin_sigmas": margin_sigmas, "worst": worst}
+def _check(name: str, rows: list[tuple]) -> dict:
+    """A check's JSON entry from its (label, value, bound, stderr) rows.  A row fails when
+    value > bound + 3 * stderr, and the check passes when none does.  margin_sigmas is the
+    least (bound - value) / stderr over the rows with stderr > 0 (the first on a tie: labels
+    may be None), worst its label; the first failing row of stderr 0 is worst, with no margin."""
+    failed = [(label, s) for label, v, b, s in rows if v > b + 3 * s]
+    flat = [label for label, s in failed if s == 0]
+    margins = [((b - v) / s, label) for label, v, b, s in rows if s > 0]
+    margin, worst = (None, flat[0]) if flat else min(
+        margins, key=lambda t: t[0], default=(None, None))
+    return {"name": name, "passed": not failed, "margin_sigmas": margin, "worst": worst}
 
 
 # --- experiments: each returns (columns, rows, checks) -----------------------
@@ -104,44 +112,32 @@ def _verify_circuit(args):
             f = circuits.shifted_product_rows(x, trits)
             max_dev = max(max_dev, float(np.abs(circuits.tensor_sim_rows(x, trits) - f).max()))
         rows.append({"n": n, "trials": args.trials, "max_abs_dev": max_dev})
-    worst = max([r["max_abs_dev"] for r in rows], default=0.0)
-    anchor_err = max(
-        abs(circuits.single_qubit_sim(0.0) - 1.0),
-        abs(circuits.single_qubit_sim(1.0 / 3.0)),
-        abs(circuits.single_qubit_sim(2.0 / 3.0)),
-    )
-    checks = [
-        _check("tensor-vs-analytic-agreement", worst <= args.tol),
-        _check("single-qubit-anchor-values", anchor_err <= 1e-12),
-    ]
+    agreement = [(r["n"], r["max_abs_dev"], args.tol, 0.0) for r in rows]
+    anchors = [(x, abs(circuits.single_qubit_sim(x) - circuits.h_eval(x)), 1e-12, 0.0)
+               for x in (0.0, 1.0 / 3.0, 2.0 / 3.0)]
+    checks = [_check("tensor-vs-analytic-agreement", agreement),
+              _check("single-qubit-anchor-values", anchors)]
     return ["n", "trials", "max_abs_dev"], rows, checks
 
 
 def _bounds(args):
-    if args.n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not 1 <= args.n_max <= N_MAX:  # before any row: the exact tails grow as 3^n
+        raise ValueError(f"n_max must lie in [1, {N_MAX}], got {args.n_max}")
     bs = [game.bounds(n) for n in range(1, args.n_max + 1)]
     rows = [
         {"n": b.n, "delta": b.delta, "p_exact": b.p_exact, "p_hoeffding": b.p_hoeffding}
         for b in bs
     ]
     checks = [
-        _check("p-exact-below-hoeffding", all(b.p_exact <= b.p_hoeffding for b in bs)),
-        _check(
-            "p-exact-below-tight-exponent",
-            all(b.p_exact <= float(np.exp(-b.n / 18)) for b in bs),
-        ),
+        _check("p-exact-below-hoeffding", [(b.n, b.p_exact, b.p_hoeffding, 0.0) for b in bs]),
+        _check("p-exact-below-tight-exponent",
+               [(b.n, b.p_exact, float(np.exp(-b.n / 18)), 0.0) for b in bs]),
     ]
     return ["n", "delta", "p_exact", "p_hoeffding"], rows, checks
 
 
 def _cdf_table(cdf: list[game.CdfRow], check_name: str):
-    # the margin is the least (bound - cdf) / stderr over the rows with stderr > 0, unless a
-    # row with stderr 0 exceeds its bound: then the first such row is worst, with no margin
-    flat = [r.m for r in cdf if r.stderr == 0 and r.exceeded]
-    margins = [((r.bound - r.cdf) / r.stderr, r.m) for r in cdf if r.stderr > 0]
-    margin, worst = (None, flat[0]) if flat else min(margins, default=(None, None))
-    checks = [_check(check_name, not any(r.exceeded for r in cdf), margin, worst)]
+    checks = [_check(check_name, [(r.m, r.cdf, r.bound, r.stderr) for r in cdf])]
     rows = [vars(r).copy() for r in cdf]  # shallow: dataclasses.asdict deep-copies
     return ["m", "cdf", "stderr", "bound", "exceeded"], rows, checks
 
@@ -175,12 +171,13 @@ def _diverge(args):
     phat, stderr = training.divergence_experiment(
         args.algo, args.n, args.m, args.trials, args.eta, args.seed, args.workers
     )
-    bound = game.delta_bound(args.n) * args.m / 2.0
-    exceeded = phat > bound + 3 * stderr
-    margin = (bound - phat) / stderr if stderr > 0 else None
+    # in the plateau |f| < delta, and the coupled answers differ with probability |f - eta| / 2
+    bound = (game.delta_bound(args.n) + abs(args.eta)) * args.m / 2.0
+    check = _check("divergence-rate-bound", [(None, phat, bound, stderr)])
     columns = ["n", "m", "trials", "divergence_rate", "stderr", "bound", "exceeded"]
+    exceeded = not check["passed"]
     row = dict(zip(columns, (args.n, args.m, args.trials, phat, stderr, bound, exceeded)))
-    return columns, [row], [_check("divergence-rate-bound", not exceeded, margin)]
+    return columns, [row], [check]
 
 
 def _mi(args):
@@ -196,11 +193,10 @@ def _mi(args):
         args.n, spec, args.m, args.transcripts, args.seed, args.workers
     )
     top = args.n * info.LOG2_3  # n log2 3 bits: the entropy of the hidden shift
-    ok = -3 * stderr <= mi <= top + 3 * stderr
-    margin = min(mi, top - mi) / stderr if stderr > 0 else None
     columns = ["n", "m", "transcripts", "mi_bits", "stderr"]
     row = dict(zip(columns, (args.n, args.m, args.transcripts, mi, stderr)))
-    return columns, [row], [_check("mi-information-range", ok, margin)]
+    check = _check("mi-information-range", [(None, mi, top, stderr), (None, -mi, 0.0, stderr)])
+    return columns, [row], [check]
 
 
 def _identify(args):
@@ -209,7 +205,8 @@ def _identify(args):
     )
     columns = ["n", "trials", "unique_rate", "correct_rate", "ambiguous"]
     row = dict(zip(columns, (args.n, args.trials, unique_rate, correct_rate, ambiguous)))
-    return columns, [row], [_check("single-query-identification", correct_rate == 1.0)]
+    check = _check("single-query-identification", [(args.n, 1.0 - correct_rate, 0.0, 0.0)])
+    return columns, [row], [check]
 
 
 def run_experiment(args) -> int:

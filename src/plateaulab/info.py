@@ -269,9 +269,9 @@ def transcript_mi(
         raise ValueError("transcripts must be >= 1")
     if m < 0:
         raise ValueError("m must be >= 0")
+    points = _query_points(strategy_spec, n, m)  # parsed once, before m = 0 returns
     if m == 0:
         return 0.0, 0.0
-    points = _query_points(strategy_spec, n, m)  # parsed once: a bad spec fails here
     sum_h = sum_h2 = 0.0
     for h in run_chunks(mi_transcript_chunk, (n, points, m), transcripts, seed, workers):
         sum_h += h  # one pass, in trial order

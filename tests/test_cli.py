@@ -148,11 +148,15 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["verify-circuit", "--tol", "nan"],
         ["verify-circuit", "--tol", "-1"],
         ["bounds", "--n-max", "0"],
+        ["bounds", "--n-max", "3000"],  # refused before any row: 3,000 rows would take minutes
         ["mi", "--n", "0", "--m", "0"],
         ["identify", "--n", "0"],
         ["identify", "--n", "2", "--tol", "nan"],
         ["mi", "--n", "1", "--strategy", "fixed", "--point", "inf"],
         ["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"],
+        # the point is parsed before m = 0 returns, as eta is
+        ["mi", "--n", "2", "--strategy", "fixed", "--point", "nan", "--m", "0"],
+        ["mi", "--n", "2", "--strategy", "fixed", "--point", "0.1", "--m", "0"],
         ["game", "--n", "0"],
         ["exit-time", "--n", "0"],
         ["train", "--n", "0", "--alpha", "0.5"],
@@ -172,6 +176,10 @@ def test_bad_sizes_exit_2(tmp_path, argv):
     [
         (["mi", "--n", "2", "--strategy", "fixed", "--point", "0.1,inf"], "must be finite"),
         (["mi", "--n", "1", "--strategy", "fixed", "--point", "nan"], "must be finite"),
+        (["mi", "--n", "2", "--strategy", "fixed", "--point", "nan", "--m", "0"],
+         "must be finite"),
+        (["mi", "--n", "2", "--strategy", "fixed", "--point", "0.1", "--m", "0"],
+         "wrong dimension"),
         (["mi", "--n", "3", "--strategy", "uniform", "--point", "0.1,0.2,0.3"],
          "--point applies only to --strategy fixed"),
         (["game", "--n", "0"], "n must be >= 1"),
@@ -333,6 +341,12 @@ def test_benchmark_reference_replay(tmp_path, monkeypatch):
             assert checks.against_reference(step, out.read_text(), reference) == []
 
 
+def test_bounds_refuses_n_max_above_the_cap_before_any_row(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(game, "bounds", lambda n: pytest.fail("a row was computed"))
+    assert main(["bounds", "--n-max", "3000", "--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
+    assert "n_max must lie in [1, 646], got 3000" in capsys.readouterr().err
+
+
 def test_diverge_csv(tmp_path):
     out = tmp_path / "d.csv"
     code = main(
@@ -410,6 +424,99 @@ def test_mi_margin_pinned_at_a_small_config(tmp_path):
     assert code == EXIT_OK and check["passed"] and check["worst"] is None
     assert check["margin_sigmas"] == 43.790998113185125
     assert check["margin_sigmas"] == row["mi_bits"] / row["stderr"]
+
+
+def test_diverge_bound_adds_eta_to_delta(tmp_path):
+    # inside the plateau |f| < delta, and the coupled answers differ with probability
+    # |f - eta| / 2: at eta = 0.3 the rate 0.7402 +- 0.0044 is far above delta m / 2 = 0.439
+    argv = ["diverge", "--n", "12", "--m", "10", "--trials", "10000", "--seed", str(DEFAULT_SEED)]
+    code, report = _json_report(tmp_path, [*argv, "--eta", "0.3"])
+    (row,) = report["rows"]
+    (check,) = report["checks"]
+    assert code == EXIT_OK and check["passed"] and row["exceeded"] is False
+    assert row["bound"] == 1.9389574759945127 == (game.delta_bound(12) + 0.3) * 10 / 2.0
+    assert row["divergence_rate"] == 0.7402
+    assert check["margin_sigmas"] == (row["bound"] - row["divergence_rate"]) / row["stderr"]
+    # at eta = 0 the bound is delta m / 2, the same float as before eta entered it
+    _, report = _json_report(tmp_path, argv)
+    assert report["rows"][0]["bound"] == game.delta_bound(12) * 10 / 2.0
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        # criterion 09's config: 2 of 10,000 trials are ambiguous at n = 4
+        (["identify", "--n", "4", "--trials", "10000"],
+         [("single-query-identification", False, 4)]),
+        # at tol 0 the statevector's rounding fails the first n already
+        (["verify-circuit", "--n-max", "2", "--trials", "3", "--tol", "0"],
+         [("tensor-vs-analytic-agreement", False, 1), ("single-qubit-anchor-values", True, None)]),
+    ],
+    ids=["identify", "verify-circuit"],
+)
+def test_failing_exact_check_names_its_row(tmp_path, argv, checks):
+    code, report = _json_report(tmp_path, [*argv, "--seed", str(DEFAULT_SEED)])
+    assert code == EXIT_BOUND_VIOLATION
+    assert [(c["name"], c["passed"], c["worst"]) for c in report["checks"]] == checks
+    assert all(c["margin_sigmas"] is None for c in report["checks"])
+
+
+def _check_by_brute_force(rows):
+    """_check's rule restated row by row: (passed, margin_sigmas, worst)."""
+    fails = [value > bound + 3 * stderr for _, value, bound, stderr in rows]
+    for (label, _, _, stderr), fail in zip(rows, fails):
+        if fail and stderr == 0:
+            return not any(fails), None, label
+    margin = worst = None
+    for label, value, bound, stderr in rows:
+        if stderr > 0 and (margin is None or (bound - value) / stderr < margin):
+            margin, worst = (bound - value) / stderr, label
+    return not any(fails), margin, worst
+
+
+# few distinct values, so that margins tie and stderr-0 rows sit on their bound
+_CHECK_ROW = st.tuples(
+    st.none() | st.integers(0, 3),
+    st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]) | st.floats(-2, 2),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-2, 2),
+    st.sampled_from([0.0, 0.0, 0.25, 0.5]) | st.floats(0, 1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CHECK_ROW, max_size=6))
+def test_check_follows_its_rule_on_random_rows(rows):
+    check = cli._check("name", rows)
+    assert list(check) == ["name", "passed", "margin_sigmas", "worst"]
+    assert (check["passed"], check["margin_sigmas"], check["worst"]) == _check_by_brute_force(rows)
+    assert type(check["passed"]) is bool
+
+
+_TINY = [
+    ["verify-circuit", "--n-max", "1", "--trials", "2"],
+    ["bounds", "--n-max", "2"],
+    ["game", "--n", "2", "--trials", "20", "--m-max", "3"],
+    ["train", "--n", "4", "--trials", "2", "--budget", "20"],
+    ["exit-time", "--n", "4", "--trials", "20", "--m-max", "3"],
+    ["diverge", "--n", "4", "--m", "2", "--trials", "20"],
+    ["mi", "--n", "1", "--m", "2", "--transcripts", "20"],
+    ["identify", "--n", "2", "--trials", "20"],
+]
+
+
+def test_every_check_has_four_keys_and_is_in_readme(tmp_path):
+    section = (ROOT / "README.md").read_text().split("\n### Checks\n", 1)[1].split("\n#", 1)[0]
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert sorted(argv[0] for argv in _TINY) == sorted(commands)
+    names = []
+    for argv in _TINY:
+        code, report = _json_report(tmp_path, argv)
+        assert code in (EXIT_OK, EXIT_BOUND_VIOLATION)
+        for check in report["checks"]:
+            assert list(check) == ["name", "passed", "margin_sigmas", "worst"]
+            assert f"`{check['name']}`" in section, check["name"]
+            names.append(check["name"])
+    assert len(set(names)) == len(names) == 9
 
 
 _COLUMNS = {
@@ -626,6 +733,11 @@ _COMMANDS = {
 }
 
 
+# the row keys of a check row's label and value; mi's rows hold no bound
+_CHECK_KEYS = {"game": ("m", "cdf"), "exit-time": ("m", "cdf"),
+               "diverge": (None, "divergence_rate"), "mi": (None, None)}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(sorted(_COMMANDS)).flatmap(
@@ -639,14 +751,23 @@ def test_random_configs_never_crash(command_argv, common):
     with contextlib.redirect_stdout(out):
         code = main(command_argv + common)
     assert code in (EXIT_OK, EXIT_BOUND_VIOLATION, EXIT_BAD_CONFIG)
-    if code != EXIT_BAD_CONFIG and "json" in common and command_argv[0] in ("game", "exit-time", "mi"):
-        # a check fails where its margin is below -3, or where a CDF row of stderr 0
+    command = command_argv[0]
+    if code != EXIT_BAD_CONFIG and "json" in common and command in _CHECK_KEYS:
+        # a check fails where its margin is below -3, or where a row of stderr 0
         # exceeds its bound: the first such row is then worst, with no margin
         report = json.loads(out.getvalue())
         (check,) = report["checks"]
-        margin = check["margin_sigmas"]
-        flat = [r["m"] for r in report["rows"]
-                if "cdf" in r and r["stderr"] == 0 and r["cdf"] > r["bound"]]
+        margin, (label, value) = check["margin_sigmas"], _CHECK_KEYS[command]
+        flat = [r[label] if label else None for r in report["rows"]
+                if value and r["stderr"] == 0 and r[value] > r["bound"]]
         assert check["passed"] is not ((margin is not None and margin < -3) or bool(flat))
         if flat:
             assert (margin, check["worst"]) == (None, flat[0])
+        if command == "diverge":  # its one row carries its rate, stderr and bound
+            (row,) = report["rows"]
+            config = report["config"]
+            assert row["bound"] == (
+                game.delta_bound(config["n"]) + abs(config["eta"])) * config["m"] / 2.0
+            assert row["exceeded"] is not check["passed"] and check["worst"] is None
+            if row["stderr"] > 0:
+                assert margin == (row["bound"] - row["divergence_rate"]) / row["stderr"]
