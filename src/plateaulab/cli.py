@@ -10,9 +10,11 @@ argv (including --seed) produces byte-identical CSV regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
+import platform
 import re
 import sys
 import time
@@ -32,6 +34,8 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_BAD_CONFIG = 2
 EXIT_INTERNAL_ERROR = 3
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
 def _fmt(v) -> str:
@@ -331,7 +335,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _keep_freed_heap() -> None:
+    """On glibc, once per process, keep freed heap for the next array step.
+    By default glibc maps each block above 128 KB afresh and trims the heap
+    top after a step, so every step of BLOCK_BYTES faults its memory in
+    again.  Pool workers fork later and inherit it.  Elsewhere, or with no
+    mallopt, it does nothing; no output depends on it."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 * BLOCK_BYTES)  # setting it stops glibc moving it
+    mallopt(_M_TRIM_THRESHOLD, 64 * BLOCK_BYTES)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         if args.seed is None:  # read at every call, not when the parser is built

@@ -19,7 +19,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 
-BLOCK_BYTES = 2**17  # float64 bytes per sub-block of a chunk's array step; bounds peak memory
+# float64 bytes per sub-block of a chunk's array step; bounds peak memory.  A
+# step's temporaries lie above glibc's default 128 KB mmap threshold, so each
+# would be mapped and faulted in afresh: cli.main keeps freed heap for the next step
+BLOCK_BYTES = 2**18
 
 
 def _mix64(z: int) -> int:

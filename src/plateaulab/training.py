@@ -255,7 +255,9 @@ def _lockstep(
     first_exit = np.zeros(count, dtype=np.int64)
     # rows per sub-block, and random search's (trial, query) cells per step: a
     # cell keeps about ten float64 values live at a step's peak, so BLOCK_BYTES
-    # // 16 cells peak no higher than whole-point steps do
+    # // 16 cells peak no higher than whole-point steps do.  A step's few hundred
+    # numpy calls cost the same at any size, so larger steps pay them fewer times,
+    # but only while each step reuses the heap the last one freed (cli.main)
     block = max(1, BLOCK_BYTES // (16 if algo == "random" else 8 * per_round * n))
     for s in range(0, count, block):
         rows = np.arange(s, min(s + block, count))

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -619,9 +623,14 @@ def _verify_circuit_loop(seed, n_max, trials):
     return "\n".join(lines) + "\n", drawn
 
 
-# 7 rows is the n = 10 sub-block, BLOCK_BYTES // (16 * 2**10 + 64 * 11), and 14 the n = 9 one
+# verify-circuit's sub-block at n, BLOCK_BYTES // (16 * 2**n + 64 * (n + 1)) rows: the
+# counts straddle its edges at n = 10 and n = 9, besides a few fixed small counts
+_VC_EDGES = [BLOCK_BYTES // (16 * 2**n + 64 * (n + 1)) for n in (10, 9)]
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("trials", [1, 7, 8, 9, 14, 15, 17])
+@pytest.mark.parametrize(
+    "trials", sorted({1, 7, 8, 9, 14, 15, 17, *(e + d for e in _VC_EDGES for d in (0, 1, 2))}))
 def test_verify_circuit_csv_equals_the_per_trial_loop(tmp_path, monkeypatch, trials, workers):
     want, want_drawn = _verify_circuit_loop(2718, 10, trials)
     kernel, drawn = circuits.tensor_sim_rows, []
@@ -653,6 +662,69 @@ def test_verify_circuit_peak_traced_allocation(tmp_path, n_max):
         tracemalloc.stop()
     assert code == EXIT_OK
     assert peak <= 4.5 * BLOCK_BYTES, peak / BLOCK_BYTES
+
+
+@pytest.fixture
+def heap_setting_unmade():
+    """_keep_freed_heap as in a process whose main has not run yet."""
+    cli._keep_freed_heap.cache_clear()
+    yield
+    cli._keep_freed_heap.cache_clear()
+
+
+def test_keep_freed_heap_calls_mallopt_once_per_process(tmp_path, monkeypatch, heap_setting_unmade):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: ("glibc", "2.36"))
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+    for i in range(3):
+        assert main(["bounds", "--n-max", "2", "--out", str(tmp_path / f"{i}.csv")]) == EXIT_OK
+    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD
+    assert calls == [(-3, 32 * BLOCK_BYTES), (-1, 64 * BLOCK_BYTES)]
+
+
+@pytest.mark.parametrize("libc", ["not glibc", "no mallopt"])
+def test_keep_freed_heap_is_a_silent_no_op_elsewhere(tmp_path, monkeypatch, capsys,
+                                                     heap_setting_unmade, libc):
+    def cdll(name):
+        assert libc == "no mallopt", "loaded the C library off glibc"
+        return SimpleNamespace()
+
+    name = "" if libc == "not glibc" else "glibc"  # libc_ver's name on musl is ""
+    monkeypatch.setattr(cli.platform, "libc_ver", lambda: (name, ""))
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    out = tmp_path / "b.csv"
+    assert main(["bounds", "--n-max", "2", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text().startswith("n,delta,p_exact,p_hoeffding\n")
+
+
+def test_output_bytes_do_not_depend_on_the_heap_setting(tmp_path):
+    # two fresh interpreters: one keeps freed heap (on glibc), one looks off glibc
+    # and keeps the allocator's defaults; pool workers fork from each
+    child = (
+        "import json, platform, sys\n"
+        "if sys.argv[1] == 'off':\n"
+        "    platform.libc_ver = lambda *a, **k: ('', '')\n"
+        "from plateaulab import cli\n"
+        "for i, argv in enumerate(json.loads(sys.argv[2])):\n"
+        "    cli.main(argv + ['--out', f'{sys.argv[1]}-{i}.csv'])\n"
+    )
+    argvs = [
+        ["train", "--algo", "random", "--n", "7", "--budget", "200000", "--trials", "100"],
+        ["train", "--algo", "random", "--n", "7", "--budget", "200000", "--trials", "100",
+         "--workers", "2"],
+        ["game", "--n", "16", "--trials", "500"],
+        ["mi", "--n", "8", "--m", "10", "--transcripts", "10"],
+        ["verify-circuit", "--n-max", "10", "--trials", "40"],
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    for setting in ("on", "off"):
+        subprocess.run([sys.executable, "-c", child, setting, json.dumps(argvs)],
+                       cwd=tmp_path, env=env, check=True, timeout=120)
+    for i in range(len(argvs)):
+        assert _read(tmp_path / f"on-{i}.csv") == _read(tmp_path / f"off-{i}.csv")
 
 
 def test_seed_env_default(tmp_path, monkeypatch):

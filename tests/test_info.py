@@ -552,8 +552,10 @@ def test_mi_exact_enumeration_equals_per_sequence_loop(data, n, m):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_mi_exact_enumeration_across_blocks_equals_per_sequence_loop(n):
-    # 2**8 outcome sequences span two blocks at n = 4 and four at n = 5
+def test_mi_exact_enumeration_across_blocks_equals_per_sequence_loop(n, monkeypatch):
+    # blocks of 100 rows, whatever BLOCK_BYTES is: 2**8 outcome sequences span
+    # three blocks, the last one partial
+    monkeypatch.setattr(info, "BLOCK_BYTES", 100 * 8 * 3**n)
     assert 2**8 > info._block_rows(n)
     stack = RandomStack(23)
     points = [TorusPoint((stack.pop_batch(n) + 1.0) / 2.0) for _ in range(7)]
