@@ -186,6 +186,18 @@ class CdfRow:
     exceeded: bool  # cdf > bound + 3 * stderr
 
 
+_M_MAX_CAP = 10**6  # CDF rows: about 550 bytes each, histogram to written report (measured)
+
+
+def _check_m_max(m_max: int) -> None:
+    """Refuse an m_max below 0 or above _M_MAX_CAP before its histogram is built."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    if m_max > _M_MAX_CAP:
+        raise ValueError(f"m_max={m_max} exceeds CDF-table cap {_M_MAX_CAP}: {m_max} CDF"
+                         f" rows need about {550e-9 * m_max:.3g} GB")
+
+
 def cdf_rows(counts: np.ndarray, trials: int, rate: float) -> list[CdfRow]:
     """CDF rows m = 1..len(counts) of a first-event histogram over trials,
     each against the linear bound rate * m."""
@@ -210,7 +222,6 @@ def estimate_win_cdf(
 ) -> list[CdfRow]:
     """Empirical CDF of the win round, with the linear first-round bound."""
     rate = float(p_exact_fraction(check_n(n)))
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    _check_m_max(m_max)
     counts = run_chunks(win_round_counts, (n, strategy_name, m_max), games, seed, workers)
     return cdf_rows(counts, games, rate)

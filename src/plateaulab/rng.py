@@ -50,13 +50,14 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix_bits(base, idx: np.ndarray) -> np.ndarray:
-    """The 53-bit integers z behind draws idx - 1 of the streams whose
-    SplitMix64 bases are `base`, broadcast against the uint64 array idx
-    (scaled in place): draw = z * 2**-52 - 1."""
+def _splitmix_bits(base, idx: np.ndarray, drop=_S11) -> np.ndarray:
+    """The SplitMix64 values behind draws idx - 1 of the streams whose bases
+    are `base`, broadcast against the uint64 array idx (scaled in place),
+    shifted right by the uint64 `drop`: at 11, the 53-bit integers z with
+    draw = z * 2**-52 - 1."""
     idx *= _GOLDEN_U
     z = _mix64_array(base + idx)
-    z >>= _S11
+    z >>= drop
     return z
 
 
@@ -80,6 +81,15 @@ def unit_uniforms_at(bases, draws) -> np.ndarray:
     as each step of that map is exact on the multiples of 2**-52 in [-1, 1)."""
     idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
     return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx) * 2.0**-53
+
+
+def _unit_bins_at(bases, draws, bins: int) -> np.ndarray:
+    """int(unit_uniforms_at(bases, draws) * bins) to the bit, as intp, for bins
+    a power of two from 2 to 2**53: the top log2(bins) bits of each draw's
+    integer, read without forming its float."""
+    idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
+    drop = np.uint64(65 - bins.bit_length())
+    return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx, drop).view(np.intp)
 
 
 def advance(bases, draws) -> np.ndarray:

@@ -16,8 +16,14 @@ whose answer draw r splits f from eta (diverge); else a query outside the
 plateau (exit-time).  f is read against the answer draw r and |target|
 only, random search draws r only with eta, and inside is read at every
 query with eta, else only until a trial's first exit.  `_cells` computes
-f against that floor: cells that the bound table H_BOUND of |h| puts
-below it read 0.0, and only the rest get h and their exact f.
+f against that floor: cells that a bound table of |h| puts below it read
+0.0, and only the rest, its survivors, get h and their exact f.  Random
+search screens on the draws' integers: the top 12 bits of a draw's 64-bit
+value are the bin of its x, and _H_SHIFTED[t, k] bounds H_BOUND[int(d *
+BINS)] for every d = wrap01(x - t/3) of an x in bin k, so no float x is
+formed for a cell the screen drops.  Its train stops (target > 0) are read
+from the survivors alone, each trial's first with f >= target, as every
+such cell survives; every other rule gets f at every cell.
 """
 from __future__ import annotations
 
@@ -31,12 +37,14 @@ import numpy as np
 
 from ._parallel import run_chunks
 from .circuits import ShiftedProductFunction, h_eval_array
-from .game import CdfRow, PlateauRegion, cdf_rows, check_n, delta_bound, p_exact_fraction
+from .game import (
+    CdfRow, PlateauRegion, _check_m_max, cdf_rows, check_n, delta_bound, p_exact_fraction,
+)
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
 from .rng import (
-    BLOCK_BYTES, advance, first_indices, stream_bases, uniform_block, uniforms_at,
-    unit_uniforms_at,
+    BLOCK_BYTES, _unit_bins_at, advance, first_indices, stream_bases, uniform_block,
+    uniforms_at, unit_uniforms_at,
 )
 from .torus import (
     GRID_BASE, GridShift, TorusPoint, far_coords, far_count_array, index_trits, wrap01_array,
@@ -183,37 +191,72 @@ H_BOUND = np.maximum(_H_ENDS[:-1], _H_ENDS[1:]) + 1e-14  # |fl(h(d))| <= H_BOUND
 H_BOUND.flags.writeable = False
 
 
-def _cells(n, key, coord, trits, floor):
+def _by_x_bin(bound: np.ndarray) -> np.ndarray:
+    """(3, BINS) read-only: entry [t, k] is the largest bound[int(d * BINS)]
+    over d = fl(wrap01(x - t/3)) for every float x in bin k.  Rounding is
+    monotone, so d rises with x but for one drop to near 0 at the wrap (the
+    clamp of a d that rounds to 1.0 only moves that drop), and the d-bins of
+    bin k run cyclically upward from its first x's to its last x's.  t/3 *
+    BINS is no integer, so that run spans at most two bins, the two ends'."""
+    k = np.arange(BINS)
+    x = np.array([k / BINS, np.nextafter((k + 1) / BINS, 0.0)])  # each bin's first and last x
+    d = wrap01_array(x - np.arange(GRID_BASE)[:, None, None] / 3.0)  # (trit, end, bin)
+    table = bound.take((d * BINS).astype(np.intp)).max(axis=1)
+    table.flags.writeable = False
+    return table
+
+
+_H_SHIFTED = _by_x_bin(H_BOUND)  # _H_SHIFTED[t, k] >= H_BOUND[int(d * BINS)] for x in bin k
+
+
+def _x_bins(key, j):
+    """int(x_j * BINS) of random search's cells with keys key, from the draws' integers."""
+    return _unit_bins_at(key, j, BINS)
+
+
+def _cells(n, key, coord, trits, floor, bins=None):
     """f of a step's (rows, width) cells against a floor, a scalar or one per
     cell: cell (row, q) has key key[row, q] and shift trits[row], and coord(k,
-    j) gives x_j, in [0, 1), of the cells whose keys are k (k and j broadcast).
-    A cell reads f if |f| >= floor and 0.0 otherwise; 0.0 answers p >= t and
-    t < p as f does for every |t| >= floor.
+    j) gives x_j, in [0, 1), of the cells whose keys are k (k and j broadcast);
+    bins(k, j), if given, gives int(x_j * BINS) exactly.  Returns the cells
+    left by the bound pass, as ascending flat indices into key, and their f
+    where |f| >= floor, 0.0 otherwise; every other cell has |f| < floor and
+    reads 0.0.  0.0 answers p >= t and t < p as f does for every |t| >= floor.
 
     A bound pass decides most cells without h.  Coordinate by coordinate, an
-    undecided cell's running bound U is multiplied by H_BOUND[int(d_j * BINS)],
-    d_j = wrap01(x_j - a_j), and the cells with U < floor read 0.0.  H_BOUND[k]
+    undecided cell's running bound U is multiplied by a table bound on
+    |h(d_j)|, d_j = wrap01(x_j - a_j), and the cells with U < floor are
+    dropped.  Without bins it is H_BOUND[int(d_j * BINS)], and H_BOUND[k]
     bounds |fl(h(d))| for every float d in bin k, [k, k + 1) / BINS:
     - h is monotone on [0, 1/2] and [1/2, 1], and BINS is even, so |h| peaks at a bin end;
     - k = int(d * BINS) is exact, as BINS is a power of 2 and d lies in [0, 1);
     - 1e-14 covers the float error of h at d and at that bin end.
-    Rounding is monotone, so U >= |fl(f)|, and a cell with U < floor has |f| <
-    floor.  Once at most TAIL cells are undecided, or after coordinate n, the
-    rest get the plain product of their n coordinates in coordinate order, so
-    their f is exact: as one block if at most TAIL (a step of at most TAIL
-    cells skips the bound pass), else one coordinate at a time, so no (cells,
-    n) block is held."""
+    With bins it is _H_SHIFTED[t_j, int(x_j * BINS)], at least H_BOUND of
+    every d-bin that x_j's bin reaches, so no float x_j, wrap01 or d is formed
+    for a dropped cell.  Rounding is monotone, so U >= |fl(f)|, and a cell with
+    U < floor has |f| < floor.  Once at most TAIL cells are undecided, or after
+    coordinate n, the rest get the plain product of their n coordinates in
+    coordinate order, so their f is exact: as one block if at most TAIL (a step
+    of at most TAIL cells skips the bound pass), else one coordinate at a time,
+    so no (cells, n) block is held."""
     rows, width = key.shape
     shift = trits / 3.0  # the a_j that points subtract, per row
+    if bins is not None:  # offset[j, row]: a_j's row in the flat _H_SHIFTED, contiguous in row
+        offset = (trits * BINS).T.copy()
     cell, keys = np.arange(key.size), key.reshape(-1)  # undecided cells: flat index, key
     floor, per_cell = np.reshape(floor, -1), np.ndim(floor) > 0  # (1,) for one floor
     bound = 1.0
     for j in range(n):
         if len(cell) <= TAIL:
             break
-        # coordinate 0 of every cell subtracts a_0 by broadcast, not by a gather
-        v = coord(key, 0) - shift[:, :1] if j == 0 else coord(keys, j) - shift[cell // width, j]
-        bound = bound * H_BOUND.take((wrap01_array(v) * BINS).astype(np.intp).reshape(-1))
+        # coordinate 0 of every cell reads its row's value by broadcast, not by a gather
+        if bins is None:
+            v = coord(key, 0) - shift[:, :1] if j == 0 else coord(keys, j) - shift[cell // width, j]
+            bound = bound * H_BOUND.take((wrap01_array(v) * BINS).astype(np.intp).reshape(-1))
+        else:
+            i = bins(key, 0) + offset[0, :, None] if j == 0 else (
+                bins(keys, j) + offset[j].take(cell // width))
+            bound = bound * _H_SHIFTED.take(i.reshape(-1))
         keep = (bound >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
         cell, keys, bound = cell[keep], keys[keep], bound[keep]
         floor = floor[keep] if per_cell else floor
@@ -223,9 +266,7 @@ def _cells(n, key, coord, trits, floor):
     else:
         hs = (h_eval_array(wrap01_array(coord(keys, j) - shift[row, j])) for j in range(n))
     p = functools.reduce(np.multiply, hs)
-    fx = np.zeros(rows * width)
-    fx[cell] = np.where(np.abs(p) >= floor, p, 0.0)
-    return fx.reshape(rows, width)
+    return cell, np.where(np.abs(p) >= floor, p, 0.0)
 
 
 def _lockstep(
@@ -244,8 +285,10 @@ def _lockstep(
     f is read only against r and |target|, the floor _cells gets.  SPSA and
     parameter-shift read f and r in their update, so each of their steps is
     one round; random search draws r only with eta, and reads no f with
-    neither.  inside is read at every query with eta, else only until a
-    trial's first exit (False after it).
+    neither.  Its train stops at target > 0 are read from _cells' survivors,
+    which hold every cell with f >= target; every other rule reads f at every
+    cell.  inside is read at every query with eta, else only until a trial's
+    first exit, and not at all once every trial has one.
     Returns per trial the query that stopped it and its first query outside
     the hidden plateau up to then, 0 for none.
     """
@@ -273,19 +316,27 @@ def _lockstep(
                 # draw j of cell (row, q) is uniforms_at(key[row, q], j)
                 key = advance(bases[:, None], 1 + (n + 1) * np.arange(done, done + width))
                 r = None if eta is None else uniforms_at(key, n)
-                coord = unit_uniforms_at
+                coord, bins = unit_uniforms_at, _x_bins
             else:
                 width = per_round
                 u = uniform_block(bases, 1 + n + (k - 1) * (draws + per_round), draws + per_round)
                 u, r = u[:, :draws], u[:, draws:]
                 pts = wrap01_array(points(algo, x, k, u))
                 cells, key = pts.reshape(-1, n), np.arange(pts.size // n).reshape(-1, width)
-                coord = lambda c, j: cells[c, j]  # key: the cell's row in cells
-            fx = None if r is None and target is None else _cells(
-                n, key, coord, trits, level if r is None else np.minimum(abs(r), level))
-            inside = np.zeros((len(rows), width), dtype=bool)
-            need = ((first_exit[rows] == 0) | (eta is not None)).nonzero()[0]  # rows that read it
+                coord, bins = lambda c, j: cells[c, j], None  # key: the cell's row in cells
+            # random search's train stop reads f only where f >= target > 0, all
+            # among _cells' survivors; every other rule reads f at every cell
+            sparse = x is None and target is not None and target > 0
+            if r is not None or target is not None:
+                floor = level if r is None else np.minimum(abs(r), level)
+                cell, f = _cells(n, key, coord, trits, floor, bins)
+                if not sparse:
+                    fx = np.zeros(key.shape)
+                    fx.put(cell, f)
+            open_ = first_exit[rows] == 0  # rows before their first exit
+            need = (open_ | (eta is not None)).nonzero()[0]  # rows that read inside
             if len(need):
+                inside = np.zeros((len(rows), width), dtype=bool)
                 need = slice(None) if len(need) == len(rows) else need  # a view
                 if x is None:  # one coordinate at a time: no (cells, n) block of draws
                     kn, tn = key[need], trits[need]
@@ -294,13 +345,21 @@ def _lockstep(
                     far = far_count_array(pts[need], trits[need][:, None, :])
                 inside[need] = far > n / 2
             q = np.arange(done + 1, done + width + 1)  # query numbers
-            hit = (fx >= target if target is not None else ~inside if eta is None
-                   else inside & ((r < fx) != (r < eta))) & (q <= m)
-            fin = hit.any(axis=1)
-            last = np.where(fin, hit.argmax(axis=1), min(width, m - done) - 1)
-            out = ~inside & (q <= q[last][:, None])  # asked by the trial
-            new = out.any(axis=1) & (first_exit[rows] == 0)
-            first_exit[rows[new]] = q[out[new].argmax(axis=1)]
+            if sparse:  # each row's first hit: the least of its hit columns and width - 1
+                hit = cell[f >= target]  # random search: width <= m - done
+                fin = np.zeros(len(rows), dtype=bool)
+                fin[hit // width] = True
+                last = np.full(len(rows), width - 1)
+                np.minimum.at(last, hit // width, hit % width)
+            else:
+                hit = (fx >= target if target is not None else ~inside if eta is None
+                       else inside & ((r < fx) != (r < eta))) & (q <= m)
+                fin = hit.any(axis=1)
+                last = np.where(fin, hit.argmax(axis=1), min(width, m - done) - 1)
+            if open_.any():
+                out = ~inside & (q <= q[last][:, None])  # asked by the trial
+                new = out.any(axis=1) & open_
+                first_exit[rows[new]] = q[out[new].argmax(axis=1)]
             stopped[rows[fin]] = q[last[fin]]
             if x is not None:
                 x = update(algo, x, k, u, np.where(r < fx, 1, -1))[~fin]
@@ -388,7 +447,6 @@ def exit_time_experiment(
     """Empirical CDF of the first query landing outside the hidden plateau,
     against the combined bound (p_exact + delta/2) * m."""
     rate = float(p_exact_fraction(check_n(n))) + delta_bound(n) / 2.0
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
+    _check_m_max(m_max)
     counts = run_chunks(exit_time_chunk, (algo, n, m_max), trials, seed, workers)
     return cdf_rows(counts, trials, rate)

@@ -20,7 +20,16 @@ from plateaulab.circuits import (
     tensor_sim_rows,
 )
 from plateaulab.torus import GridShift, TorusPoint, bohr_dist, wrap01_array
-from plateaulab.training import _cells
+
+
+def _dense_cells(n, key, coord, trits, floor):
+    """training._cells' f at every cell of key: the f it returns for the cells
+    it keeps, which must ascend, and 0.0 at every other cell."""
+    cell, f = training._cells(n, key, coord, trits, floor)
+    assert np.all(np.diff(cell) > 0) and len(cell) == len(f)
+    fx = np.zeros(key.shape)
+    fx.put(cell, f)
+    return fx
 
 
 def test_phi_in_range_and_hamiltonian_unit_eigenvalues():
@@ -217,7 +226,7 @@ def test_pruned_product_answers_every_comparison_as_f(tail, data, n, rows, per_r
         key = np.arange(rows)[:, None]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(training, "TAIL", tail)
-            fx = _cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor)
+            fx = _dense_cells(n, key, lambda k, j: points[k, j], np.array(shifts), floor)
         return fx[:, 0]
 
     v = cut(floors)
@@ -267,7 +276,7 @@ def test_bound_pass_answers_every_comparison_as_f(data, n, rows, width):
     # the exact block part way through the bound pass
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "TAIL", data.draw(st.sampled_from([0, 1, 4])))
-        fx = _cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor)
+        fx = _dense_cells(n, key, lambda k, j: points.reshape(-1, n)[k, j], trits, floor)
     keep = np.abs(f) >= floor
     assert fx[keep].tobytes() == f[keep].tobytes()
     assert np.all(fx[~keep] == 0.0)
@@ -290,7 +299,7 @@ def test_bound_table_skips_h_where_f_cannot_reach_the_floor():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "h_eval_array", h)
-        fx = _cells(1, np.arange(2000).reshape(40, 50), lambda k, j: points.reshape(-1)[k],
+        fx = _dense_cells(1, np.arange(2000).reshape(40, 50), lambda k, j: points.reshape(-1)[k],
                     trits, 0.9)
     f = shifted_product_rows(points, trits[:, None, :])
     assert sum(evaluated) < 0.25 * f.size

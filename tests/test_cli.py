@@ -147,6 +147,9 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         ["identify", "--n", "20", "--trials", "1"],
         ["game", "--n", "4", "--trials", "10", "--m-max", "-1"],
         ["exit-time", "--n", "5", "--trials", "10", "--m-max", "-1"],
+        # refused before the 16 GB histogram is allocated
+        ["game", "--n", "4", "--m-max", "2000000000", "--trials", "10"],
+        ["exit-time", "--n", "6", "--m-max", "2000000000", "--trials", "10"],
         ["verify-circuit", "--trials", "0"],
         ["verify-circuit", "--n-max", "0"],
         ["verify-circuit", "--tol", "nan"],
@@ -187,6 +190,8 @@ def test_bad_sizes_exit_2(tmp_path, argv):
         (["mi", "--n", "3", "--strategy", "uniform", "--point", "0.1,0.2,0.3"],
          "--point applies only to --strategy fixed"),
         (["game", "--n", "0"], "n must be >= 1"),
+        (["game", "--n", "4", "--m-max", "2000000000"], "exceeds CDF-table cap 1000000"),
+        (["exit-time", "--n", "6", "--m-max", "1000001"], "rows need about 0.55 GB"),
         (["exit-time", "--n", "0"], "n must be >= 1"),
         (["diverge", "--n", "5", "--m", "0", "--eta", "5"], "eta must lie in [-1, 1]"),
         (["game", "--n", "3", "--trials", "5", "--workers", "-3"], "--workers must be >= 1"),

@@ -9,6 +9,7 @@ from plateaulab.rng import (
     _MIX2,
     RandomStack,
     _mix64,
+    _unit_bins_at,
     advance,
     first_indices,
     stream_bases,
@@ -181,16 +182,38 @@ def _unmix64(z):
     return unshift(z * pow(_MIX1, -1, 2**64) & _MASK, 30)
 
 
+def _edge_bases(edges, low=0):
+    """Bases of the streams whose draw 0 has 53-bit integer z for each z in
+    edges, with `low` in the 11 bits of its SplitMix64 value below z."""
+    return np.array([(_unmix64(z << 11 | low) - _GOLDEN) & _MASK for z in edges], dtype=np.uint64)
+
+
 def test_unit_uniforms_equal_halved_uniforms_to_the_bit():
     # random search's coordinates: z * 2**-53 straight from the 53-bit integer z
     # of a draw.  The streams whose draw 0 has z = 0, 1, 2**52 and 2**53 - 1
     # (draws -1, -1 + 2**-52, 0 and 1 - 2**-52), then many random cells
     assert all(_mix64(_unmix64(z)) == z for z in (0, 1, 2**63, _MASK, 0x1234_5678_9ABC_DEF0))
     edges = [0, 1, 2**52, 2**53 - 1]
-    edge_bases = np.array([(_unmix64(z << 11) - _GOLDEN) & _MASK for z in edges], dtype=np.uint64)
+    edge_bases = _edge_bases(edges)
     assert uniforms_at(edge_bases, 0).tolist() == [-1.0, -1.0 + 2.0**-52, 0.0, 1.0 - 2.0**-52]
     assert unit_uniforms_at(edge_bases, 0).tolist() == [z * 2.0**-53 for z in edges]
     bases = advance(stream_bases(3, np.arange(50))[:, None], np.arange(40))
     for s, j in ((edge_bases, 0), (bases, 7), (bases[:, :1], np.arange(12)), (bases[3], 2**40)):
         want = (uniforms_at(s, j) + 1.0) / 2.0
         assert unit_uniforms_at(s, j).tobytes() == want.tobytes()
+
+
+def test_unit_bins_equal_binned_unit_uniforms():
+    # random search's screen reads int(x * 4096) from the top 12 bits of a
+    # draw's 64-bit value.  The edge streams above, and the ends of bins 0, 1
+    # and 4095 of 4096, each with the 11 bits below z clear and set; then the
+    # random cells above, at 2, 4096 and 2**53 bins
+    edges = [0, 1, 2**52, 2**53 - 1, 2**41 - 1, 2**41, 2**42 - 1, 2**53 - 2**41]
+    edge_bases = np.concatenate([_edge_bases(edges), _edge_bases(edges, 2**11 - 1)])
+    assert unit_uniforms_at(edge_bases, 0).tolist() == [z * 2.0**-53 for z in edges] * 2
+    assert _unit_bins_at(edge_bases, 0, 4096).tolist() == [z >> 41 for z in edges] * 2
+    bases = advance(stream_bases(3, np.arange(50))[:, None], np.arange(40))
+    for bins in (2, 4096, 2**53):
+        for s, j in ((edge_bases, 0), (bases, 7), (bases[:, :1], np.arange(12)), (bases[3], 2**40)):
+            want = (unit_uniforms_at(s, j) * bins).astype(np.intp)
+            assert _unit_bins_at(s, j, bins).tobytes() == want.tobytes()

@@ -181,6 +181,12 @@ def test_batched_random_path_matches_query_loop():
 @example(algo="spsa", n=8, seed=-7, start=2**40, count=60, alpha=1.95, budget=40)
 @example(algo="random", n=8, seed=11, start=0, count=60, alpha=0.95, budget=40)
 @example(algo="spsa", n=5, seed=11, start=0, count=60, alpha=0.95, budget=40)
+# random search's steps end at queries 1, 3, 7, 15, 31 and the budget: one
+# step holds two hits of a trial; a trial's first hit is a step's last cell;
+# a trial succeeds at the budget query itself
+@example(algo="random", n=3, seed=1, start=0, count=60, alpha=0.5, budget=40)
+@example(algo="random", n=3, seed=1, start=0, count=60, alpha=0.5, budget=3)
+@example(algo="random", n=4, seed=1, start=0, count=60, alpha=0.6, budget=31)
 def test_trainer_chunk_equals_run_trainer(algo, n, seed, start, count, alpha, budget):
     # odd budgets cut an SPSA round, and budgets that are not multiples of
     # 2n cut a parameter-shift round
@@ -307,6 +313,11 @@ def test_random_points_need_no_wrap():
 @example(experiment="exit", n=1, seed=4, start=0, count=12, m=150, alpha=0.5, eta=0.0, cells=3)
 @example(experiment="diverge", n=4, seed=1, start=0, count=12, m=150, alpha=0.5, eta=0.9, cells=4)
 @example(experiment="diverge", n=1, seed=6, start=5, count=12, m=150, alpha=0.5, eta=-1.0, cells=1)
+# train steps where one holds two hits of a trial, where a trial's first hit
+# is a step's last cell, and where a trial succeeds at query m itself
+@example(experiment="train", n=2, seed=1, start=0, count=12, m=150, alpha=0.3, eta=0.0, cells=5)
+@example(experiment="train", n=3, seed=1, start=0, count=12, m=150, alpha=0.5, eta=0.0, cells=5)
+@example(experiment="train", n=4, seed=1, start=0, count=12, m=50, alpha=0.6, eta=0.0, cells=5)
 def test_random_search_across_many_small_steps(
     experiment, n, seed, start, count, m, alpha, eta, cells
 ):
@@ -447,13 +458,43 @@ def test_random_cells_equal_whole_points(tail, n, seed, done, width, level, answ
     floor = level if r is None else np.minimum(np.abs(r), level)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "TAIL", tail)
-        fx = training._cells(n, key, unit_uniforms_at, trits, floor)
-    f = shifted_product_rows(x, trits[:, None, :])
-    floor = np.minimum(np.abs(u[..., n]), level) if answers else np.full(f.shape, level)
+        cell, fc = training._cells(n, key, unit_uniforms_at, trits, floor, training._x_bins)
+    f = shifted_product_rows(x, trits[:, None, :]).reshape(-1)
+    floor = np.minimum(np.abs(u[..., n]), level).reshape(-1) if answers else level
     decided = np.abs(f) >= floor
-    assert fx.shape == (rows, width)
-    assert fx[decided].tobytes() == f[decided].tobytes()
-    assert np.all(fx[~decided] == 0.0)
+    # the survivors ascend within the step's cells and hold every cell with
+    # |f| >= floor; they read f there and 0.0 at the rest
+    assert np.all(np.diff(cell) > 0) and np.all((cell >= 0) & (cell < rows * width))
+    assert np.isin(decided.nonzero()[0], cell).all()
+    assert fc.tobytes() == np.where(decided[cell], f[cell], 0.0).tobytes()
+
+
+def test_shifted_bound_covers_h_in_every_x_bin():
+    # random search's screen reads _H_SHIFTED[t, int(x * BINS)] as a bound on
+    # |fl(h(wrap01(x - t/3)))|.  Checked for every trit at both ends of every
+    # bin of the draws x = z * 2**-53, at x = t/3 and the nearest draws and
+    # floats around it, near 0 and 1, and at 8 random draws of every bin
+    table = training._H_SHIFTED
+    assert table.shape == (3, BINS) and not table.flags.writeable
+    assert table[0].tobytes() == H_BOUND.tobytes()  # x - 0.0 == x: no shift
+    k = np.arange(BINS)
+    rng = np.random.default_rng(32)
+    z = np.concatenate([k * 2**41, (k + 1) * 2**41 - 1,
+                        (k[:, None] * 2**41 + rng.integers(0, 2**41, (BINS, 8))).reshape(-1)])
+    wraps = np.arange(3) / 3.0
+    near = np.floor(wraps * 2.0**53)[:, None] + np.arange(-2, 3)  # draws around each t/3
+    x = np.concatenate([z * 2.0**-53, near.reshape(-1) * 2.0**-53, wraps,
+                        np.nextafter(wraps, 0.0), np.nextafter(wraps, 1.0),
+                        [2.0**-53, 1.0 - 2.0**-53, 5e-324]])
+    x = x[(x >= 0.0) & (x < 1.0)]
+    for t in range(3):
+        h = np.abs(h_eval_array(wrap01_array(x - t / 3.0)))
+        assert np.all(h <= table[t, (x * BINS).astype(np.intp)]), t
+    # the premise of its two-end maximum: the d-bins of one x-bin span at most two
+    ends = np.array([k / BINS, np.nextafter((k + 1) / BINS, 0.0)])
+    for t in range(3):
+        dbin = (wrap01_array(ends - t / 3.0) * BINS).astype(np.intp)
+        assert np.all((dbin[1] - dbin[0]) % BINS <= 1)
 
 
 def test_h_bound_covers_h_in_every_bin():
