@@ -3,9 +3,11 @@
 run_chunks(fn, args, trials, seed, workers) cuts trials [0, trials) into
 chunks of min(TRIAL_CHUNK, ceil(trials / pool_size)) trials and adds
 fn(*args, start, count, seed)'s new result for each, in chunk order, with
-`+=` into the first.  Boundaries depend on the pool size, so results must
-merge exactly: counts and histograms sum, row and per-trial value lists
-concatenate (floats are summed after the merge).  Each trial owns its
+`+=` into the first.  Chunks are made as they are submitted, and at most
+IN_FLIGHT per pool process are submitted and not yet merged, so memory
+follows the merged result, not the trial count.  Boundaries depend on the
+pool size, so results must merge exactly: counts and histograms sum, row and
+per-trial value lists concatenate (floats are summed after the merge).  Each trial owns its
 random stream, so the result is identical for any number of workers.
 
 The pool is started once per process, at the first call that fans out,
@@ -18,6 +20,7 @@ pool holds no more processes than this process may run on CPUs.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import os
@@ -26,6 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 TRIAL_CHUNK = 1000
+IN_FLIGHT = 2  # chunks submitted and not yet merged, per pool process
 
 _pool: ProcessPoolExecutor | None = None
 _pool_size = 0
@@ -69,15 +73,24 @@ def run_chunks(fn, args: tuple, trials: int, seed: int, workers: int = 1):
         raise ValueError("trials must be >= 1")
     size = pool_size(workers, _usable_cpus()) if workers > 1 else 1
     step = min(TRIAL_CHUNK, -(-trials // size))
-    chunks = [(*args, s, min(step, trials - s), seed) for s in range(0, trials, step)]
-    if size == 1 or len(chunks) == 1:
-        results = [fn(*chunk) for chunk in chunks]
-    else:
-        pool = _shared_pool(size)
-        try:
-            futures = [pool.submit(fn, *chunk) for chunk in chunks]
-            results = [f.result() for f in futures]
-        except BrokenProcessPool:
-            _drop_pool(pool)
-            raise
-    return functools.reduce(operator.iadd, results)  # into the first result: lists grow linearly
+    chunks = ((*args, s, min(step, trials - s), seed) for s in range(0, trials, step))
+    if size == 1 or step == trials:
+        return functools.reduce(operator.iadd, (fn(*chunk) for chunk in chunks))
+    pool = _shared_pool(size)
+    try:
+        results = (f.result() for f in _in_flight(pool, fn, chunks, IN_FLIGHT * size))
+        return functools.reduce(operator.iadd, results)
+    except BrokenProcessPool:
+        _drop_pool(pool)
+        raise
+
+
+def _in_flight(pool: ProcessPoolExecutor, fn, chunks, limit: int):
+    """Futures of fn on each chunk, in chunk order, submitted as they are
+    taken so that at most `limit` are submitted and not yet taken."""
+    pending = collections.deque()
+    for chunk in chunks:
+        pending.append(pool.submit(fn, *chunk))
+        if len(pending) == limit:
+            yield pending.popleft()
+    yield from pending

@@ -17,16 +17,18 @@ from typing import Optional
 import numpy as np
 
 from ._parallel import run_chunks
-from .rng import BLOCK_BYTES, RandomStack, first_indices, stream_bases, uniform_block
+from .rng import BLOCK_BYTES, RandomStack, _values_at, first_indices, stream_bases
 from .torus import (
     GRID_BASE,
+    NEAR_CUTS,
     GridShift,
     TorusPoint,
     check_n,
-    far_coords,
+    far_bits,
     far_count_array,
     hamming_d,
     index_trits,
+    near_cuts,
     wrap01_array,
 )
 
@@ -141,14 +143,15 @@ def win_round_counts(
     and each step plays w <= done + cycle rounds (a win at round q costs about
     2q) of every live trial.  Trial t draws what play_game with that strategy,
     one round per call, draws on RandomStack(seed, t): its hidden shift, then
-    its points from draw 1.
+    its points from draw 1.  uniform and adaptive decide FAR on their draws'
+    64-bit values (torus.far_bits), exactly as hamming_d on the points.
     """
     if strategy_name not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy_name!r}")
     counts = np.zeros(m_max, dtype=np.int64)
     bases = stream_bases(seed, np.arange(start, start + count))
     hidden = first_indices(bases, GRID_BASE**n)
-    trits = index_trits(hidden, n).astype(np.float64)[:, None, :]  # cast once per chunk
+    trits = index_trits(hidden, n)[:, None, :]
     cycle = n if strategy_name == "adaptive" else 1
     done = 0
     while len(bases) and done < m_max:
@@ -162,17 +165,23 @@ def win_round_counts(
     return counts
 
 
+# adaptive's moved points, x's coordinates each one grid step on
+_MOVED_CUTS = near_cuts(lambda x: wrap01_array(x + 1.0 / GRID_BASE))
+
+
 def _block_far_counts(name, n, bases, trits, done, w) -> np.ndarray:
     """(rows, w) far counts of rounds done+1..done+w; trits is (rows, 1, n)."""
     if name == "grid":  # the sweep points, the same for every row
         return far_count_array(index_trits(np.arange(done, done + w), n) / GRID_BASE, trits)
     if name == "uniform":
-        u = uniform_block(bases, 1 + done * n, w * n).reshape(len(bases), w, n)
-        return far_count_array(np.divide(u + 1.0, 2.0, out=u), trits)  # into u: one temporary
+        v = _values_at(bases[:, None], np.arange(1 + done * n, 1 + (done + w) * n))
+        far = far_bits(v.reshape(len(bases), w, n), NEAR_CUTS, trits)
+        return np.einsum("...j->...", far, dtype=np.int64)
     # adaptive, done a multiple of n: round k of a cycle moves x's coordinates 1..k-1
-    x = (uniform_block(bases, 1 + done, -(-w // n) * n).reshape(len(bases), -1, n) + 1.0) / 2.0
-    far = far_coords(x, trits)
-    step = far_coords(wrap01_array(x + 1.0 / GRID_BASE), trits).astype(np.int64) - far
+    v = _values_at(bases[:, None], np.arange(1 + done, 1 + done + -(-w // n) * n))
+    v = v.reshape(len(bases), -1, n)
+    far = far_bits(v.copy(), NEAR_CUTS, trits)
+    step = far_bits(v, _MOVED_CUTS, trits).astype(np.int64) - far
     step[..., 0] = np.einsum("...j->...", far, dtype=np.int64)
     return np.cumsum(step, axis=-1).reshape(len(bases), -1)[:, :w]
 

@@ -6,9 +6,9 @@ The generator is SplitMix64 over a counter: fast, vectorizable, and good
 enough statistically for Monte Carlo at desk scale.  `uniform_block` draws
 the same values for many streams at once, one row per stream, and
 `uniforms_at` any set of (stream, draw) cells (`unit_uniforms_at` maps them
-to [0, 1) as (u + 1) / 2), `advance` moves a stream on by a number of
-draws, and `first_indices` maps each stream's draw 0 to an index, as every
-experiment draws its hidden shift.
+to [0, 1) as (u + 1) / 2, and `_values_at` gives their 64-bit values),
+`advance` moves a stream on by a number of draws, and `first_indices` maps
+each stream's draw 0 to an index, as every experiment draws its hidden shift.
 """
 from __future__ import annotations
 
@@ -53,11 +53,12 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 def _splitmix_bits(base, idx: np.ndarray, drop=_S11) -> np.ndarray:
     """The SplitMix64 values behind draws idx - 1 of the streams whose bases
     are `base`, broadcast against the uint64 array idx (scaled in place),
-    shifted right by the uint64 `drop`: at 11, the 53-bit integers z with
-    draw = z * 2**-52 - 1."""
+    shifted right by the uint64 `drop` (None: not shifted): at 11, the 53-bit
+    integers z with draw = z * 2**-52 - 1."""
     idx *= _GOLDEN_U
     z = _mix64_array(base + idx)
-    z >>= drop
+    if drop is not None:
+        z >>= drop
     return z
 
 
@@ -81,6 +82,13 @@ def unit_uniforms_at(bases, draws) -> np.ndarray:
     as each step of that map is exact on the multiples of 2**-52 in [-1, 1)."""
     idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
     return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx) * 2.0**-53
+
+
+def _values_at(bases, draws) -> np.ndarray:
+    """The 64-bit SplitMix values behind uniforms_at(bases, draws), as uint64:
+    the top 53 bits of each are unit_uniforms_at's integer z."""
+    idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
+    return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx, None)
 
 
 def _unit_bins_at(bases, draws, bins: int) -> np.ndarray:

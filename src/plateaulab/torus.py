@@ -1,4 +1,5 @@
-"""Arithmetic on the n-torus (R/Z)^n and the 1/3-grid of hidden shifts."""
+"""Arithmetic on the n-torus (R/Z)^n and the 1/3-grid of hidden shifts, and
+FAR decided on uniform draws' integers (near_cuts, far_bits)."""
 from __future__ import annotations
 
 import math
@@ -166,3 +167,40 @@ def far_coords(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
 def far_count_array(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
     """hamming_d on arrays: far_coords summed (einsum: np.sum is slow on a short last axis)."""
     return np.einsum("...j->...", far_coords(points, trits), dtype=np.int64)
+
+
+def near_cuts(point_map=None) -> np.ndarray:
+    """(2, 3) read-only uint64: column t is (L << 11, W << 11), where the z in
+    [0, 2**53) whose point point_map(z * 2**-53) (by default z * 2**-53, a
+    uniform draw's point) far_coords calls NEAR trit t are [L, L + W) mod 2**53.
+    far_coords reads d = fl(fl(3x) - t) against +-1/2 and +-5/2, and rounding is
+    monotone, so d rises with z and NEAR flips only where d crosses one of them:
+    within an integer of z = 2**53 * k / 6 for odd k.  Each cut is the one flip
+    (asserted) within 64 integers of such a z; a bisection over [0, 2**53) would
+    miss t = 1's, as its z run FAR, NEAR, FAR.  A map must keep d monotone but
+    for wraps that no NEAR flip meets, and its flips in those windows, as
+    wrap01(x + 1/3) does."""
+    k = np.array([[1], [3], [5]])
+    z = (2**53 * k + 3) // 6 + np.arange(-64, 65)  # (window, z), int64
+    x = z * 2.0**-53  # exact: z < 2**53
+    near = ~far_coords((x if point_map is None else point_map(x))[..., None], np.arange(3))
+    rise, fall = near[:, 1:] & ~near[:, :-1], near[:, :-1] & ~near[:, 1:]  # (window, z, t)
+    assert ((rise | fall).sum(axis=1) <= 1).all()  # at most one flip per window
+    assert (rise.sum(axis=(0, 1)) == 1).all() and (fall.sum(axis=(0, 1)) == 1).all()
+    lo, end = ((z[:, 1:, None] * flip).sum(axis=(0, 1)) for flip in (rise, fall))
+    cuts = np.array([lo, (end - lo) % 2**53], dtype=np.uint64) << np.uint64(11)
+    cuts.flags.writeable = False
+    return cuts
+
+
+NEAR_CUTS = near_cuts()  # the NEAR intervals of uniform draws' own points
+
+
+def far_bits(v: np.ndarray, cuts: np.ndarray, trits) -> np.ndarray:
+    """far_coords(point_map(x), trits) for the points x = z * 2**-53 of the
+    uint64 SplitMix values v, z = v >> 11, where cuts = near_cuts(point_map)
+    (v is overwritten): (v - L << 11) mod 2**64 < W << 11 exactly when (z - L)
+    mod 2**53 < W, whatever v's 11 low bits, so no z or float x is formed."""
+    lo, width = cuts.take(trits, axis=1)  # faster than cuts[:, trits]
+    v -= lo
+    return v >= width

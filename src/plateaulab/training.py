@@ -23,7 +23,10 @@ value are the bin of its x, and _H_SHIFTED[t, k] bounds H_BOUND[int(d *
 BINS)] for every d = wrap01(x - t/3) of an x in bin k, so no float x is
 formed for a cell the screen drops.  Its train stops (target > 0) are read
 from the survivors alone, each trial's first with f >= target, as every
-such cell survives; every other rule gets f at every cell.
+such cell survives; every other rule gets f at every cell.  Its FAR counts
+read the draws' integers too: torus.far_bits decides each coordinate with one
+subtraction and one comparison on its 64-bit value, exactly as far_coords on
+its float x.
 """
 from __future__ import annotations
 
@@ -43,11 +46,12 @@ from .game import (
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
 from .rng import (
-    BLOCK_BYTES, _unit_bins_at, advance, first_indices, stream_bases, uniform_block,
-    uniforms_at, unit_uniforms_at,
+    BLOCK_BYTES, _unit_bins_at, _values_at, advance, first_indices, stream_bases,
+    uniform_block, uniforms_at, unit_uniforms_at,
 )
 from .torus import (
-    GRID_BASE, GridShift, TorusPoint, far_coords, far_count_array, index_trits, wrap01_array,
+    GRID_BASE, NEAR_CUTS, GridShift, TorusPoint, far_bits, far_count_array, index_trits,
+    wrap01_array,
 )
 
 ALGORITHMS = ("random", "spsa", "pshift")
@@ -214,6 +218,13 @@ def _x_bins(key, j):
     return _unit_bins_at(key, j, BINS)
 
 
+def _far_counts(n, key, trits):
+    """far_count_array of random search's (rows, width) cells with keys key and
+    shifts trits (rows, n), from the draws' 64-bit values, one coordinate at a
+    time: no (cells, n) block of draws and no float x_j."""
+    return sum(far_bits(_values_at(key, j), NEAR_CUTS, trits[:, j, None]) for j in range(n))
+
+
 def _cells(n, key, coord, trits, floor, bins=None):
     """f of a step's (rows, width) cells against a floor, a scalar or one per
     cell: cell (row, q) has key key[row, q] and shift trits[row], and coord(k,
@@ -338,9 +349,8 @@ def _lockstep(
             if len(need):
                 inside = np.zeros((len(rows), width), dtype=bool)
                 need = slice(None) if len(need) == len(rows) else need  # a view
-                if x is None:  # one coordinate at a time: no (cells, n) block of draws
-                    kn, tn = key[need], trits[need]
-                    far = sum(far_coords(coord(kn, j), tn[:, j, None]) for j in range(n))
+                if x is None:
+                    far = _far_counts(n, key[need], trits[need])
                 else:  # FAR summed over the whole block: faster than per coordinate
                     far = far_count_array(pts[need], trits[need][:, None, :])
                 inside[need] = far > n / 2

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plateaulab import game
 from plateaulab.circuits import ShiftedProductFunction
 from plateaulab.game import (
     STRATEGIES,
@@ -18,8 +19,10 @@ from plateaulab.game import (
     win_round_counts,
 )
 from plateaulab.oracles import RandomStack
-from plateaulab.torus import GRID_BASE, GridShift, TorusPoint, wrap01
+from plateaulab.torus import GRID_BASE, NEAR_CUTS, GridShift, TorusPoint, hamming_d, wrap01
 from plateaulab.training import exit_time_experiment
+
+from edge_streams import cut_edges, edge_bases
 
 Strategy = Callable[[int, RandomStack, list], TorusPoint]
 """A strategy maps (round index, stack, past answers) to the next query point."""
@@ -186,6 +189,31 @@ def test_win_round_counts_hidden_index_beyond_float_precision():
 def test_adaptive_win_round_counts_stop_inside_the_first_cycle(n, m_max):
     got = win_round_counts(n, "adaptive", m_max, 3, 300, seed=12)
     assert np.array_equal(got, _per_trial_win_round_counts(n, "adaptive", m_max, 3, 300, 12))
+
+
+@pytest.mark.parametrize(("name", "n", "done", "w"), [
+    ("uniform", 3, 0, 1), ("uniform", 5, 4, 3), ("adaptive", 3, 0, 3), ("adaptive", 4, 8, 7),
+])
+def test_block_far_counts_at_the_cuts(name, n, done, w):
+    # rows whose draws land on each cut, and either side, of both tables, with
+    # the 11 bits below z clear and set, each against all three trits at that
+    # coordinate; their far counts are hamming_d of make_strategy's rounds
+    drawn = w * n if name == "uniform" else -(-w // n) * n
+    first = 1 + (done * n if name == "uniform" else done)  # the block's first draw
+    cases = [(z, low, t) for z in np.unique(cut_edges(NEAR_CUTS, game._MOVED_CUTS))
+             for low in (0, 2**11 - 1) for t in range(3)]
+    at = np.arange(len(cases)) % drawn  # the draw of the block that each row places
+    bases = np.concatenate([edge_bases([z], low, first + i) for (z, low, _), i in zip(cases, at)])
+    trits = np.random.default_rng(5).integers(0, 3, (len(cases), n))
+    trits[np.arange(len(cases)), at % n] = [t for _, _, t in cases]
+    got = game._block_far_counts(name, n, bases, trits[:, None, :], done, w)
+    for base, row, far in zip(bases, trits, got):
+        stack = RandomStack(0)
+        stack._base, stack.draw_index = int(base), first  # its next pop is draw `first`
+        strat, shift = make_strategy(name, n), GridShift(tuple(row.tolist()))
+        rounds = range(done + 1, done + w + 1)
+        assert far.tolist() == [hamming_d(shift, strat(r, stack, [])) for r in rounds]
+    assert stack.draw_index == first + drawn
 
 
 @pytest.mark.parametrize("strategy", ["uniform", "grid", "adaptive"])

@@ -4,6 +4,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -65,6 +66,7 @@ def test_pool_size_never_exceeds_cpus(workers, cpus):
 @example(trials=100, workers=2, cpus=2, seed=0)
 @example(trials=1001, workers=3, cpus=3, seed=1)
 @example(trials=2500, workers=2, cpus=2, seed=-1)
+@example(trials=9500, workers=2, cpus=2, seed=3)  # more chunks than are kept in flight
 def test_run_chunks_covers_trials_in_chunk_order(trials, workers, cpus, seed):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_parallel, "_usable_cpus", lambda: cpus)
@@ -79,6 +81,27 @@ def test_run_chunks_covers_trials_in_chunk_order(trials, workers, cpus, seed):
     assert all(count == step for _, _, count, _ in chunks[:-1])
     assert 0 < chunks[-1][2] <= step
     assert total == reduce(add, [_partial(*c[1:]) for c in chunks])
+
+
+def _count(start, count, seed):
+    return count
+
+
+@pytest.mark.parametrize(
+    "workers, trials", [(1, 10**7), pytest.param(2, 3 * 10**5, marks=needs_two_cpus)]
+)
+def test_run_chunks_memory_does_not_grow_with_trials(workers, trials):
+    # chunks are made as they are submitted and merged in order as they come
+    # back; a list of every chunk's arguments (and future) held 1.07 MB at 10**7
+    # trials in process and 0.6 MB at 3 * 10**5 on a pool of two
+    run_chunks(_count, (), 10 * TRIAL_CHUNK, 0, workers)  # any pool starts untraced
+    tracemalloc.start()
+    try:
+        assert run_chunks(_count, (), trials, 0, workers) == trials
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024, peak
 
 
 def test_one_chunk_or_one_worker_runs_in_process():

@@ -8,13 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from plateaulab import game, info, training
 from plateaulab.torus import (
     N_MAX,
+    NEAR_CUTS,
     GridShift,
     TorusPoint,
     _scaled_grid_dist,
     bohr_dist,
+    far_bits,
     far_coords,
     far_count_array,
     hamming_d,
+    near_cuts,
     round_to_grid,
     wrap01,
     wrap01_array,
@@ -201,6 +204,38 @@ def test_far_coords_at_grid_boundaries(case, dtype):
     want = [_scaled_grid_dist(c, tr) >= 0.5 for c, tr in zip(coords, trits)]
     assert far_coords(points, t).tolist() == want
     assert far_count_array(points, t) == hamming_d(GridShift(tuple(trits)), TorusPoint(coords))
+
+
+def _moved(x):
+    return wrap01_array(x + 1.0 / 3)
+
+
+# (L, L + W mod 2**53) of each trit's NEAR interval of 53-bit integers z
+_NEAR_Z = [(7505999378950828, 1501199875790166), (1501199875790166, 4503599627370496),
+           (4503599627370497, 7505999378950826)]
+_MOVED_NEAR_Z = [(4503599627370497, 7505999378950827), (7505999378950827, 1501199875790166),
+                 (1501199875790167, 4503599627370495)]
+
+
+@pytest.mark.parametrize("cuts, point_map, intervals", [
+    (NEAR_CUTS, None, _NEAR_Z),
+    (game._MOVED_CUTS, _moved, _MOVED_NEAR_Z),  # adaptive's moved points
+], ids=["draws", "moved"])
+def test_near_cuts_decide_far_on_the_draws_integers(cuts, point_map, intervals):
+    # far_bits on a 64-bit value equals far_coords on its point, at every z
+    # within 4096 of each cut and of each k/6 (the ends 0 and 2**53 - 1, and
+    # the moved points' wrap, included), with the 11 bits below z clear and set
+    lo, width = (cuts >> np.uint64(11)).tolist()
+    assert [(a, (a + w) % 2**53) for a, w in zip(lo, width)] == intervals
+    assert cuts.tolist() == near_cuts(point_map).tolist()
+    assert not cuts.flags.writeable
+    centres = [c for pair in intervals for c in pair] + [(k * 2**53 + 3) // 6 for k in range(7)]
+    z = np.unique(np.clip(np.add.outer(centres, np.arange(-4096, 4097)), 0, 2**53 - 1))
+    x = z * 2.0**-53
+    want = far_coords((x if point_map is None else point_map(x))[:, None], np.arange(3))
+    for low in (0, 2**11 - 1):
+        v = np.repeat((z.astype(np.uint64) << np.uint64(11) | np.uint64(low))[:, None], 3, axis=1)
+        assert np.array_equal(far_bits(v, cuts, np.arange(3)), want)
 
 
 def test_n_max_is_the_largest_n_whose_shift_count_converts_to_float():

@@ -10,8 +10,10 @@ from plateaulab import training
 from plateaulab.circuits import ShiftedProductFunction, h_eval_array, shifted_product_rows
 from plateaulab.game import PlateauRegion
 from plateaulab.oracles import ClampedFunction, RandomStack, coupled_sample, sample_query
-from plateaulab.rng import advance, stream_bases, uniforms_at, unit_uniforms_at
-from plateaulab.torus import GridShift, TorusPoint, index_trits, wrap01_array
+from plateaulab.rng import advance, first_indices, stream_bases, uniforms_at, unit_uniforms_at
+from plateaulab.torus import (
+    NEAR_CUTS, GridShift, TorusPoint, far_count_array, index_trits, wrap01_array,
+)
 from plateaulab.training import (
     BINS,
     H_BOUND,
@@ -32,6 +34,8 @@ from plateaulab.training import (
     trainer_sweep,
     trainer_trials_chunk,
 )
+
+from edge_streams import cut_edges, edge_bases, edge_seed
 
 
 def _f(n, trits=None):
@@ -467,6 +471,49 @@ def test_random_cells_equal_whole_points(tail, n, seed, done, width, level, answ
     assert np.all(np.diff(cell) > 0) and np.all((cell >= 0) & (cell < rows * width))
     assert np.isin(decided.nonzero()[0], cell).all()
     assert fc.tobytes() == np.where(decided[cell], f[cell], 0.0).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_random_far_counts_at_the_cuts(n):
+    # rows of three cells whose coordinate j lands on a cut of NEAR_CUTS and
+    # either side, with the 11 bits below z clear and set, against each trit t
+    # there: the counts equal far_count_array on the cells' float points
+    cases = [(z, low, t) for z in cut_edges(NEAR_CUTS) for low in (0, 2**11 - 1)
+             for t in range(3)]
+    j = np.arange(len(cases)) % n
+    key = np.array([edge_bases(z, low, i) for (z, low, _), i in zip(cases, j)])
+    trits = np.random.default_rng(9).integers(0, 3, (len(cases), n))
+    trits[np.arange(len(cases)), j] = [t for _, _, t in cases]
+    want = far_count_array(unit_uniforms_at(key[..., None], np.arange(n)), trits[:, None, :])
+    assert np.array_equal(training._far_counts(n, key, trits), want)
+
+
+def test_random_search_far_at_the_cuts():
+    # one stream for each cut of NEAR_CUTS and the integers either side, with
+    # the 11 bits below z clear and set, and each trit: coordinate j of its
+    # first query lands there and its hidden trit j is t.  Exit-time, diverge
+    # and train read FAR there as the per-query references do
+    n, m = 16, 20
+    seeds = []
+    for z in np.unique(cut_edges(NEAR_CUTS)):
+        for low in (0, 2**11 - 1):
+            bases = edge_bases([z] * n, low, 1 + np.arange(n))  # draw 1 + j is x_j of query 1
+            trits = index_trits(first_indices(bases, 3**n), n)[np.arange(n), np.arange(n)]
+            for t in range(3):
+                assert t in trits, (z, low, t)
+                seeds.append(edge_seed(bases[trits.tolist().index(t)]))
+    alpha = default_alpha(n)
+    for seed in seeds:
+        stop, _ = training._lockstep("random", n, m, 0, 1, seed)
+        assert stop[0] == (_first_exit("random", n, m, seed, 0) or 0)
+        assert divergence_chunk("random", n, m, 0.3, 0, 1, seed) == _diverges(
+            "random", n, m, 0.3, seed, 0)
+        (_, queries, succeeded, first_exit), = trainer_trials_chunk(
+            "random", n, alpha, m, 0, 1, seed)
+        f, stack = _trial(n, seed, 0)
+        res = run_trainer("random", f, alpha, m, stack)
+        assert (queries, succeeded, first_exit) == (
+            res.queries_total, res.succeeded, res.first_exit)
 
 
 def test_shifted_bound_covers_h_in_every_x_bin():
