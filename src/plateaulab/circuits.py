@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import GridShift, TorusPoint, wrap01, wrap01_array
+from .torus import GridShift, TorusPoint, check_cap, wrap01, wrap01_array
 
 PHI = math.asin(1.0 / math.sqrt(3.0))  # rotation-axis angle, in ]0, pi/4[
 
@@ -29,6 +29,11 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 HAMILTONIAN = math.cos(PHI) * PAULI_X + math.sin(PHI) * PAULI_Z  # eigenvalues +-1
 
 TENSOR_SIM_CAP = 10  # statevector has 2**n amplitudes
+
+
+def check_statevector(n: int, name: str = "n") -> int:
+    """Refuse n above TENSOR_SIM_CAP qubits before a statevector is built."""
+    return check_cap(name, n, TENSOR_SIM_CAP, "statevector", f"a statevector of 2^{n} amplitudes")
 
 
 def h_eval(t: float) -> float:
@@ -122,8 +127,7 @@ def tensor_sim_rows(points: np.ndarray, trits: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(points, dtype=np.float64) - np.asarray(trits) / 3.0
     rows, n = t.shape
-    if n > TENSOR_SIM_CAP:
-        raise ValueError(f"n={n} exceeds statevector cap {TENSOR_SIM_CAP} (2**n amplitudes)")
+    check_statevector(n)
     # U_j|0> = cos(pi t)(1, 0) - i sin(pi t)(H00, H10), as single_qubit_unitary forms it
     ur = np.cos(np.pi * t)[..., None] * np.array([1.0, 0.0])
     ui = -np.sin(np.pi * t)[..., None] * HAMILTONIAN[:, 0].real

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import circuits, game, info, training
 from .rng import BLOCK_BYTES, advance, first_indices, stream_bases, uniform_block
-from .torus import N_MAX, index_trits
+from .torus import N_MAX, check_cap, index_trits
 
 DEFAULT_SEED = 1234567891
 SEED_ENV_VAR = "PLATEAULAB_SEED"
@@ -100,9 +100,7 @@ def _verify_circuit(args):
         raise ValueError("trials and n_max must be >= 1")
     if not args.tol >= 0:  # NaN too
         raise ValueError("tol must be >= 0")
-    if args.n_max > circuits.TENSOR_SIM_CAP:  # before any trial, not at n = cap + 1
-        raise ValueError(f"n_max={args.n_max} exceeds statevector cap {circuits.TENSOR_SIM_CAP}"
-                         f": a statevector of 2^{args.n_max} amplitudes")
+    circuits.check_statevector(args.n_max, "n_max")  # before any trial, not at n = cap + 1
     rows = []
     for n in range(1, args.n_max + 1):
         # trial i pops draws i(n+1) .. i(n+1)+n of stream n: its shift, then x;
@@ -125,8 +123,9 @@ def _verify_circuit(args):
 
 
 def _bounds(args):
-    if not 1 <= args.n_max <= N_MAX:  # before any row: the exact tails grow as 3^n
-        raise ValueError(f"n_max must lie in [1, {N_MAX}], got {args.n_max}")
+    if args.n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    check_cap("n_max", args.n_max, N_MAX, "row", f"{args.n_max} exact tails over 3^n shifts")
     bs = [game.bounds(n) for n in range(1, args.n_max + 1)]
     rows = [
         {"n": b.n, "delta": b.delta, "p_exact": b.p_exact, "p_hoeffding": b.p_hoeffding}

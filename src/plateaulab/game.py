@@ -23,6 +23,7 @@ from .torus import (
     NEAR_CUTS,
     GridShift,
     TorusPoint,
+    check_cap,
     check_n,
     far_bits,
     far_count_array,
@@ -202,9 +203,8 @@ def _check_m_max(m_max: int) -> None:
     """Refuse an m_max below 0 or above _M_MAX_CAP before its histogram is built."""
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
-    if m_max > _M_MAX_CAP:
-        raise ValueError(f"m_max={m_max} exceeds CDF-table cap {_M_MAX_CAP}: {m_max} CDF"
-                         f" rows need about {550e-9 * m_max:.3g} GB")
+    check_cap("m_max", m_max, _M_MAX_CAP, "CDF-table",
+              f"{m_max} CDF rows need about {550e-9 * m_max:.3g} GB")
 
 
 def cdf_rows(counts: np.ndarray, trials: int, rate: float) -> list[CdfRow]:

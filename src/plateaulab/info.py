@@ -17,11 +17,12 @@ from ._parallel import run_chunks
 from .circuits import h_eval_array
 from .oracles import RandomStack, eval_query
 from .rng import BLOCK_BYTES, first_indices, stream_bases, uniform_block
-from .torus import GRID_BASE, GridShift, TorusPoint, check_n, wrap01_array
+from .torus import GRID_BASE, GridShift, TorusPoint, check_cap, check_n, wrap01_array
 
 LOG2_3 = math.log2(3)
 
 MI_N_CAP = 8  # bounds time, not memory: a 3**n-entry Bayes step per transcript and query
+MI_TRANSCRIPTS_CAP = 10**7  # the merged entropy list: about 40 bytes per transcript (measured)
 IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~32 3**n bytes: 51 MB at 13
 _TRIT_SHIFTS = np.arange(GRID_BASE) / GRID_BASE  # t/3 for each trit t
 
@@ -37,9 +38,8 @@ def _block_rows(n: int) -> int:
 
 def _check_table(n: int) -> None:
     """Refuse a 3**n candidate row above IDENTIFY_N_CAP before it is built."""
-    if check_n(n) > IDENTIFY_N_CAP:
-        raise ValueError(f"n={n} exceeds candidate-table cap {IDENTIFY_N_CAP}: a row of"
-                         f" 3^{n} candidates needs about {32e-9 * GRID_BASE**n:.3g} GB")
+    check_cap("n", check_n(n), IDENTIFY_N_CAP, "candidate-table",
+              f"a row of 3^{n} candidates needs about {32e-9 * GRID_BASE**n:.3g} GB")
 
 
 def candidate_block(points: np.ndarray) -> np.ndarray:
@@ -163,9 +163,9 @@ def omnipotent_identify(
 
 # --- transcript mutual information ------------------------------------------
 
-def _query_points(spec, n: int, m: int) -> Optional[np.ndarray]:
-    """The (m, n) query points of a ("fixed", point) spec, its point wrapped
-    into [0, 1) at every query; None for "uniform"."""
+def _query_points(spec, n: int) -> Optional[np.ndarray]:
+    """The (n,) point of a ("fixed", point) spec, wrapped into [0, 1) and
+    asked at every query; None for "uniform"."""
     if spec == "uniform":
         return None
     if isinstance(spec, tuple) and spec[0] == "fixed":
@@ -174,7 +174,7 @@ def _query_points(spec, n: int, m: int) -> Optional[np.ndarray]:
         point = TorusPoint(spec[1])
         if len(point) != n:
             raise ValueError("fixed point has wrong dimension")
-        return np.tile(point.array(), (m, 1))
+        return point.array()
     raise ValueError(f"unknown strategy spec {spec!r}")
 
 
@@ -202,10 +202,11 @@ def mi_transcript_chunk(
     """H(C | transcript) of each trial of a chunk, in trial order, with one
     in-place Bayes step per query for all trials of a sub-block.
 
-    Query q asks a uniform point (`points` None) or row q-1 of the (m, n)
-    `points`.  No query point depends on the answers, so trial t's draws are
-    fixed as pops of RandomStack(seed, t) would be: draw 0 is the hidden
-    shift, then each query reads n point draws if uniform, and its outcome.
+    Query q asks a uniform point (`points` None), the one (n,) point
+    `points`, or row q-1 of the (m, n) `points`.  No query point depends on
+    the answers, so trial t's draws are fixed as pops of RandomStack(seed, t)
+    would be: draw 0 is the hidden shift, then each query reads n point
+    draws if uniform, and its outcome.
 
     Per group of queries, one h-table and one prefix table (the products
     over coordinates 0..n-2) serve the answers and the Bayes steps; listed
@@ -214,6 +215,8 @@ def mi_transcript_chunk(
     y-signed factors, written into one reused buffer: the float operations of
     candidate_values, so every entropy equals a per-trial loop's to the bit.
     """
+    if points is not None and points.ndim == 1:  # a view: no chunk argument grows with m
+        points = np.broadcast_to(points, (m, n))
     size = GRID_BASE**n
     low = size // GRID_BASE  # prefix entries: the shifts of coordinates 0..n-2
     draws = n + 1 if points is None else 1  # per query; the outcome is the last
@@ -259,17 +262,15 @@ def transcript_mi(
     each sampled transcript is computed exactly, so the estimator of
     E[H(C|T)] is unbiased.
     """
-    check_n(n)
-    if n > MI_N_CAP:
-        raise ValueError(
-            f"n={n} exceeds posterior cap {MI_N_CAP}: every query of every transcript"
-            f" is a Bayes step over all 3^{n} = {GRID_BASE**n:.6g} shifts"
-        )
+    check_cap("n", check_n(n), MI_N_CAP, "posterior", "every query of every transcript"
+              f" is a Bayes step over all 3^{n} = {GRID_BASE**n:.6g} shifts")
     if transcripts < 1:
         raise ValueError("transcripts must be >= 1")
+    check_cap("transcripts", transcripts, MI_TRANSCRIPTS_CAP, "entropy-list",
+              f"{transcripts} entropies need about {40e-9 * transcripts:.3g} GB")
     if m < 0:
         raise ValueError("m must be >= 0")
-    points = _query_points(strategy_spec, n, m)  # parsed once, before m = 0 returns
+    points = _query_points(strategy_spec, n)  # parsed once, before m = 0 returns
     if m == 0:
         return 0.0, 0.0
     sum_h = sum_h2 = 0.0
@@ -330,8 +331,7 @@ def mi_exact_enumeration(n: int, points: list[TorusPoint]) -> float:
     m = len(points)
     if m == 0:
         return 0.0
-    if m > 20:
-        raise ValueError("enumeration over 2**m outcome sequences; m too large")
+    check_cap("m", m, 20, "enumeration", f"2^{m} outcome sequences")
     size = GRID_BASE**n
     vals = [candidate_values(n, x) for x in points]
     prior = 1.0 / size

@@ -50,15 +50,13 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _splitmix_bits(base, idx: np.ndarray, drop=_S11) -> np.ndarray:
-    """The SplitMix64 values behind draws idx - 1 of the streams whose bases
-    are `base`, broadcast against the uint64 array idx (scaled in place),
-    shifted right by the uint64 `drop` (None: not shifted): at 11, the 53-bit
-    integers z with draw = z * 2**-52 - 1."""
+def _splitmix_bits(base, idx: np.ndarray) -> np.ndarray:
+    """The 53-bit integers z, draw = z * 2**-52 - 1, of draws idx - 1 of the
+    streams whose bases are `base`, broadcast against the uint64 array idx
+    (scaled in place): the top 53 bits of their SplitMix64 values."""
     idx *= _GOLDEN_U
     z = _mix64_array(base + idx)
-    if drop is not None:
-        z >>= drop
+    z >>= _S11
     return z
 
 
@@ -86,18 +84,9 @@ def unit_uniforms_at(bases, draws) -> np.ndarray:
 
 def _values_at(bases, draws) -> np.ndarray:
     """The 64-bit SplitMix values behind uniforms_at(bases, draws), as uint64:
-    the top 53 bits of each are unit_uniforms_at's integer z."""
-    idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
-    return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx, None)
-
-
-def _unit_bins_at(bases, draws, bins: int) -> np.ndarray:
-    """int(unit_uniforms_at(bases, draws) * bins) to the bit, as intp, for bins
-    a power of two from 2 to 2**53: the top log2(bins) bits of each draw's
-    integer, read without forming its float."""
-    idx = np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)
-    drop = np.uint64(65 - bins.bit_length())
-    return _splitmix_bits(np.asarray(bases, dtype=np.uint64), idx, drop).view(np.intp)
+    the top 53 bits of each are unit_uniforms_at's integer z.  Draw k mixes
+    the stream's counter moved on k + 1 steps."""
+    return _mix64_array(advance(bases, np.array(draws, dtype=np.uint64, ndmin=1) + np.uint64(1)))
 
 
 def advance(bases, draws) -> np.ndarray:

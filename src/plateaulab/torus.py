@@ -28,11 +28,18 @@ def wrap01_array(v: np.ndarray) -> np.ndarray:
     return c
 
 
+def check_cap(name: str, value: int, cap: int, what: str, estimate: str) -> int:
+    """The one size rule: refuse a value above its cap, before anything that grows
+    with it is built, with the cost estimate in one ValueError form (exit 2)."""
+    if value > cap:
+        raise ValueError(f"{name}={value} exceeds {what} cap {cap}: {estimate}")
+    return value
+
+
 def check_n(n: int) -> int:
-    if not 1 <= n <= N_MAX:  # a front end's n: its hidden-shift draw scales by float(3**n)
-        raise ValueError("n must be >= 1" if n < 1 else
-                         f"n={n} exceeds {N_MAX}: 3^n shifts overflow a float")
-    return n
+    if n < 1:  # a front end's n: its hidden-shift draw scales by float(3**n)
+        raise ValueError("n must be >= 1")
+    return check_cap("n", n, N_MAX, "float", "3^n shifts overflow a float")
 
 
 @dataclass(frozen=True)

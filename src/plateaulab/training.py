@@ -15,18 +15,17 @@ f >= target (train); else with eta, a query inside the hidden plateau
 whose answer draw r splits f from eta (diverge); else a query outside the
 plateau (exit-time).  f is read against the answer draw r and |target|
 only, random search draws r only with eta, and inside is read at every
-query with eta, else only until a trial's first exit.  `_cells` computes
-f against that floor: cells that a bound table of |h| puts below it read
-0.0, and only the rest, its survivors, get h and their exact f.  Random
-search screens on the draws' integers: the top 12 bits of a draw's 64-bit
-value are the bin of its x, and _H_SHIFTED[t, k] bounds H_BOUND[int(d *
-BINS)] for every d = wrap01(x - t/3) of an x in bin k, so no float x is
-formed for a cell the screen drops.  Its train stops (target > 0) are read
-from the survivors alone, each trial's first with f >= target, as every
-such cell survives; every other rule gets f at every cell.  Its FAR counts
-read the draws' integers too: torus.far_bits decides each coordinate with one
-subtraction and one comparison on its 64-bit value, exactly as far_coords on
-its float x.
+query with eta, else only until a trial's first exit.  `_cells` computes f
+against that floor: cells that a bound table of |h| puts below it read
+0.0, and only the rest, its survivors, get h and their exact f.  The
+table, _H_SHIFTED[t, k], bounds |h(wrap01(x - t/3))| for every x in bin k
+= int(x * BINS); random search reads k from the top 12 bits of its draw's
+64-bit value, so no float x is formed for a cell the screen drops.  Its
+train stops (target > 0) are read from the survivors alone, each trial's
+first with f >= target, as every such cell survives; every other rule gets
+f at every cell.  Its FAR counts read the draws' integers too:
+torus.far_bits decides each coordinate with one subtraction and one
+comparison on its 64-bit value, exactly as far_coords on its float x.
 """
 from __future__ import annotations
 
@@ -46,12 +45,12 @@ from .game import (
 # coupled_sample: divergence_chunk's per-query reference, traced here by perfbench
 from .oracles import RandomStack, Transcript, coupled_sample, sample_query  # noqa: F401
 from .rng import (
-    BLOCK_BYTES, _unit_bins_at, _values_at, advance, first_indices, stream_bases,
-    uniform_block, uniforms_at, unit_uniforms_at,
+    BLOCK_BYTES, _values_at, advance, first_indices, stream_bases, uniform_block, uniforms_at,
+    unit_uniforms_at,
 )
 from .torus import (
-    GRID_BASE, NEAR_CUTS, GridShift, TorusPoint, far_bits, far_count_array, index_trits,
-    wrap01_array,
+    GRID_BASE, NEAR_CUTS, GridShift, TorusPoint, check_cap, far_bits, far_count_array,
+    index_trits, wrap01_array,
 )
 
 ALGORITHMS = ("random", "spsa", "pshift")
@@ -65,6 +64,7 @@ SPSA_GAMMA_EXP = 0.101
 
 PSHIFT_SHIFT = 0.25  # quarter period
 PSHIFT_STEP = 0.1
+TRAIN_TRIALS_CAP = 10**6  # train's merged per-trial rows: about 350 bytes each (measured)
 
 
 @dataclass
@@ -189,9 +189,12 @@ def run_trainer(
 
 
 TAIL = 128  # undecided cells from which _cells multiplies out f as one block (measured)
-BINS = 4096  # even, so h's turning point 1/2 is a bin edge
+BINS = 4096  # a power of 2, and even, so h's turning point 1/2 is a bin edge
+_BIN_SHIFT = np.uint64(65 - BINS.bit_length())  # 64 - log2(BINS): value >> it is the x's bin
 _H_ENDS = np.abs(h_eval_array(np.arange(BINS + 1) / BINS))
-H_BOUND = np.maximum(_H_ENDS[:-1], _H_ENDS[1:]) + 1e-14  # |fl(h(d))| <= H_BOUND[int(d * BINS)]
+# |fl(h(d))| <= H_BOUND[int(d * BINS)] for every float d in [0, 1): h turns only at the bin
+# ends 0 and 1/2, so |h| peaks at a bin end; int(d * BINS) is exact; 1e-14 covers h's float error
+H_BOUND = np.maximum(_H_ENDS[:-1], _H_ENDS[1:]) + 1e-14
 H_BOUND.flags.writeable = False
 
 
@@ -214,8 +217,9 @@ _H_SHIFTED = _by_x_bin(H_BOUND)  # _H_SHIFTED[t, k] >= H_BOUND[int(d * BINS)] fo
 
 
 def _x_bins(key, j):
-    """int(x_j * BINS) of random search's cells with keys key, from the draws' integers."""
-    return _unit_bins_at(key, j, BINS)
+    """int(x_j * BINS) of random search's cells with keys key: their draws' top bits, as intp."""
+    v = _values_at(key, j)
+    return np.right_shift(v, _BIN_SHIFT, out=v).view(np.intp)  # in place
 
 
 def _far_counts(n, key, trits):
@@ -225,49 +229,39 @@ def _far_counts(n, key, trits):
     return sum(far_bits(_values_at(key, j), NEAR_CUTS, trits[:, j, None]) for j in range(n))
 
 
-def _cells(n, key, coord, trits, floor, bins=None):
+def _cells(n, key, coord, trits, floor, bins):
     """f of a step's (rows, width) cells against a floor, a scalar or one per
-    cell: cell (row, q) has key key[row, q] and shift trits[row], and coord(k,
-    j) gives x_j, in [0, 1), of the cells whose keys are k (k and j broadcast);
-    bins(k, j), if given, gives int(x_j * BINS) exactly.  Returns the cells
-    left by the bound pass, as ascending flat indices into key, and their f
-    where |f| >= floor, 0.0 otherwise; every other cell has |f| < floor and
-    reads 0.0.  0.0 answers p >= t and t < p as f does for every |t| >= floor.
+    cell: cell (row, q) has key key[row, q] and shift trits[row], coord(k, j)
+    gives x_j, in [0, 1), of the cells whose keys are k (k and j broadcast),
+    and bins(k, j) gives int(x_j * BINS) exactly.  Returns the cells left by
+    the bound pass, as ascending flat indices into key, and their f where
+    |f| >= floor, 0.0 otherwise; every other cell has |f| < floor and reads
+    0.0.  0.0 answers p >= t and t < p as f does for every |t| >= floor.
 
     A bound pass decides most cells without h.  Coordinate by coordinate, an
-    undecided cell's running bound U is multiplied by a table bound on
-    |h(d_j)|, d_j = wrap01(x_j - a_j), and the cells with U < floor are
-    dropped.  Without bins it is H_BOUND[int(d_j * BINS)], and H_BOUND[k]
-    bounds |fl(h(d))| for every float d in bin k, [k, k + 1) / BINS:
-    - h is monotone on [0, 1/2] and [1/2, 1], and BINS is even, so |h| peaks at a bin end;
-    - k = int(d * BINS) is exact, as BINS is a power of 2 and d lies in [0, 1);
-    - 1e-14 covers the float error of h at d and at that bin end.
-    With bins it is _H_SHIFTED[t_j, int(x_j * BINS)], at least H_BOUND of
-    every d-bin that x_j's bin reaches, so no float x_j, wrap01 or d is formed
-    for a dropped cell.  Rounding is monotone, so U >= |fl(f)|, and a cell with
-    U < floor has |f| < floor.  Once at most TAIL cells are undecided, or after
-    coordinate n, the rest get the plain product of their n coordinates in
-    coordinate order, so their f is exact: as one block if at most TAIL (a step
-    of at most TAIL cells skips the bound pass), else one coordinate at a time,
-    so no (cells, n) block is held."""
+    undecided cell's running bound U is multiplied by _H_SHIFTED[t_j, int(x_j
+    * BINS)], at least H_BOUND[int(d_j * BINS)] >= |fl(h(d_j))| for every d_j
+    = wrap01(x_j - a_j) of x_j's bin, and the cells with U < floor are
+    dropped, so no wrap01 or d is formed for a dropped cell.  Rounding is
+    monotone, so U >= |fl(f)|, and a cell with U < floor has |f| < floor.
+    Once at most TAIL cells are undecided, or after coordinate n, the rest
+    get the plain product of their n coordinates in coordinate order, so
+    their f is exact: as one block if at most TAIL (a step of at most TAIL
+    cells skips the bound pass), else one coordinate at a time, so no
+    (cells, n) block is held."""
     rows, width = key.shape
     shift = trits / 3.0  # the a_j that points subtract, per row
-    if bins is not None:  # offset[j, row]: a_j's row in the flat _H_SHIFTED, contiguous in row
-        offset = (trits * BINS).T.copy()
+    offset = (trits * BINS).T.copy()  # offset[j, row]: a_j's row in the flat _H_SHIFTED
     cell, keys = np.arange(key.size), key.reshape(-1)  # undecided cells: flat index, key
     floor, per_cell = np.reshape(floor, -1), np.ndim(floor) > 0  # (1,) for one floor
     bound = 1.0
     for j in range(n):
         if len(cell) <= TAIL:
             break
-        # coordinate 0 of every cell reads its row's value by broadcast, not by a gather
-        if bins is None:
-            v = coord(key, 0) - shift[:, :1] if j == 0 else coord(keys, j) - shift[cell // width, j]
-            bound = bound * H_BOUND.take((wrap01_array(v) * BINS).astype(np.intp).reshape(-1))
-        else:
-            i = bins(key, 0) + offset[0, :, None] if j == 0 else (
-                bins(keys, j) + offset[j].take(cell // width))
-            bound = bound * _H_SHIFTED.take(i.reshape(-1))
+        # coordinate 0 of every cell reads its row's offset by broadcast, not by a gather
+        i = bins(key, 0) + offset[0, :, None] if j == 0 else (
+            bins(keys, j) + offset[j].take(cell // width))
+        bound = bound * _H_SHIFTED.take(i.reshape(-1))
         keep = (bound >= floor).nonzero()[0]  # faster than a mask for 2+ arrays
         cell, keys, bound = cell[keep], keys[keep], bound[keep]
         floor = floor[keep] if per_cell else floor
@@ -334,7 +328,8 @@ def _lockstep(
                 u, r = u[:, :draws], u[:, draws:]
                 pts = wrap01_array(points(algo, x, k, u))
                 cells, key = pts.reshape(-1, n), np.arange(pts.size // n).reshape(-1, width)
-                coord, bins = lambda c, j: cells[c, j], None  # key: the cell's row in cells
+                coord, bins = (lambda c, j: cells[c, j],  # key: the cell's row in cells
+                               lambda c, j: (cells[c, j] * BINS).astype(np.intp))  # x in [0, 1)
             # random search's train stop reads f only where f >= target > 0, all
             # among _cells' survivors; every other rule reads f at every cell
             sparse = x is None and target is not None and target > 0
@@ -402,6 +397,8 @@ def trainer_sweep(
 ) -> list[tuple[int, int, bool, Optional[int]]]:
     check_n(n)
     _check_trainer_args(alpha, budget)
+    check_cap("trials", trials, TRAIN_TRIALS_CAP, "trial-row",
+              f"{trials} trial rows need about {350e-9 * trials:.3g} GB")
     return run_chunks(trainer_trials_chunk, (algo, n, alpha, budget), trials, seed, workers)
 
 

@@ -24,8 +24,10 @@ from plateaulab.torus import GridShift, TorusPoint, bohr_dist, wrap01_array
 
 def _dense_cells(n, key, coord, trits, floor):
     """training._cells' f at every cell of key: the f it returns for the cells
-    it keeps, which must ascend, and 0.0 at every other cell."""
-    cell, f = training._cells(n, key, coord, trits, floor)
+    it keeps, which must ascend, and 0.0 at every other cell.  Each bin is
+    int(x * BINS) of coord's x, in [0, 1), as SPSA and parameter-shift read it."""
+    bins = lambda k, j: (coord(k, j) * training.BINS).astype(np.intp)  # noqa: E731
+    cell, f = training._cells(n, key, coord, trits, floor, bins)
     assert np.all(np.diff(cell) > 0) and len(cell) == len(f)
     fx = np.zeros(key.shape)
     fx.put(cell, f)

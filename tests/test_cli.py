@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import pickle
 import shlex
 import subprocess
 import sys
@@ -150,6 +151,9 @@ def test_train_json_resolves_alpha_and_summarises(tmp_path):
         # refused before the 16 GB histogram is allocated
         ["game", "--n", "4", "--m-max", "2000000000", "--trials", "10"],
         ["exit-time", "--n", "6", "--m-max", "2000000000", "--trials", "10"],
+        # refused before the merged per-trial rows and entropies fill memory
+        ["train", "--n", "4", "--budget", "1", "--trials", "1000001"],
+        ["mi", "--n", "1", "--m", "1", "--transcripts", "10000001"],
         ["verify-circuit", "--trials", "0"],
         ["verify-circuit", "--n-max", "0"],
         ["verify-circuit", "--tol", "nan"],
@@ -192,6 +196,10 @@ def test_bad_sizes_exit_2(tmp_path, argv):
         (["game", "--n", "0"], "n must be >= 1"),
         (["game", "--n", "4", "--m-max", "2000000000"], "exceeds CDF-table cap 1000000"),
         (["exit-time", "--n", "6", "--m-max", "1000001"], "rows need about 0.55 GB"),
+        (["train", "--n", "4", "--trials", "1000001"], "trials=1000001 exceeds trial-row cap"
+         " 1000000: 1000001 trial rows need about 0.35 GB"),
+        (["mi", "--n", "1", "--transcripts", "10000001"], "transcripts=10000001 exceeds"
+         " entropy-list cap 10000000: 10000001 entropies need about 0.4 GB"),
         (["exit-time", "--n", "0"], "n must be >= 1"),
         (["diverge", "--n", "5", "--m", "0", "--eta", "5"], "eta must lie in [-1, 1]"),
         (["game", "--n", "3", "--trials", "5", "--workers", "-3"], "--workers must be >= 1"),
@@ -259,16 +267,44 @@ def test_n_whose_shift_count_overflows_a_float_exits_2_before_fan_out(
 
     for module in (game, training, info):
         monkeypatch.setattr(module, "run_chunks", no_sweep)
-    cases = [("647", "n=647 exceeds 646"), ("10000", "n=10000 exceeds 646")]
+    cases = [(["--n", "647"], "n=647 exceeds float cap 646"),
+             (["--n", "10000"], "n=10000 exceeds float cap 646")]
     if argv[0] == "identify":  # the candidate-table cap, whose size estimate no longer overflows
-        cases.append(("646", "n=646 exceeds candidate-table cap 13"))
+        cases.append((["--n", "646"], "n=646 exceeds candidate-table cap 13"))
     if argv[0] == "mi":  # its own cap, whose message gives 3^n in short form
-        cases.append(("646", "n=646 exceeds posterior cap 8"))
-    for n, message in cases:
-        argv_n = [*argv, "--n", n, "--workers", workers, "--out", str(tmp_path / "x")]
+        cases.append((["--n", "646"], "n=646 exceeds posterior cap 8"))
+    # the linear caps, each refused before run_chunks too
+    if argv[0] == "mi":
+        cases.append((["--n", "1", "--transcripts", "10000001"],
+                      "transcripts=10000001 exceeds entropy-list cap 10000000"))
+    if argv[0] == "train":
+        cases.append((["--n", "4", "--trials", "1000001"],
+                      "trials=1000001 exceeds trial-row cap 1000000"))
+    if argv[0] in ("game", "exit-time"):
+        cases.append((["--n", "4", "--m-max", "2000000000"],
+                      "m_max=2000000000 exceeds CDF-table cap 1000000"))
+    for extra, message in cases:
+        argv_n = [*argv, *extra, "--workers", workers, "--out", str(tmp_path / "x")]
         assert main(argv_n) == EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert message in err and len(err) < 200
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mi_fixed_point_chunk_arguments_do_not_grow_with_m(tmp_path, monkeypatch, workers):
+    # the fixed point reaches each chunk once, not as an (m, n) table: the
+    # arguments a pool pickles per chunk stay small at m = 10**9
+    sizes = []
+
+    def spy(fn, args, trials, seed, workers):
+        sizes.append(len(pickle.dumps((fn, *args, 0, trials, seed))))
+        return [0.0] * trials
+
+    monkeypatch.setattr(info, "run_chunks", spy)
+    argv = ["mi", "--n", "2", "--m", str(10**9), "--strategy", "fixed", "--point", "0.1,0.2",
+            "--transcripts", "1", "--workers", workers, "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_OK
+    assert len(sizes) == 1 and sizes[0] < 1024
 
 
 @pytest.mark.parametrize("argv", _HUGE_N[:4], ids=lambda argv: argv[0])
@@ -353,7 +389,7 @@ def test_benchmark_reference_replay(tmp_path, monkeypatch):
 def test_bounds_refuses_n_max_above_the_cap_before_any_row(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(game, "bounds", lambda n: pytest.fail("a row was computed"))
     assert main(["bounds", "--n-max", "3000", "--out", str(tmp_path / "x")]) == EXIT_BAD_CONFIG
-    assert "n_max must lie in [1, 646], got 3000" in capsys.readouterr().err
+    assert "n_max=3000 exceeds row cap 646" in capsys.readouterr().err
 
 
 def test_diverge_csv(tmp_path):

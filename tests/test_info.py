@@ -144,7 +144,7 @@ def test_mi_exact_enumeration_hand_value():
         LOG2_3 - 4 / 3, abs=1e-12
     )
     assert mi_exact_enumeration(1, []) == 0.0
-    with pytest.raises(ValueError, match="m too large"):
+    with pytest.raises(ValueError, match=r"^m=21 exceeds enumeration cap 20: 2\^21 outcome"):
         mi_exact_enumeration(1, [TorusPoint([0.0])] * 21)
 
 
@@ -311,15 +311,16 @@ def _per_trial_identify_counts(n, tol, start, count, seed):
 
 def _transcript_entropies_scalar(n, points, m, start, count, seed):
     """Reference: H(C | transcript) of each trial, one RandomStack and candidate
-    row per trial and query.  Query q asks a uniform point, or row q-1 of the
-    (m, n) `points`."""
+    row per trial and query.  Query q asks a uniform point, the one (n,) point
+    `points`, or row q-1 of the (m, n) `points`."""
     out = np.empty(count)
     for i, trial in enumerate(range(start, start + count)):
         stack = RandomStack(seed, trial)
         hidden = stack.pop_index(3**n)
         weights = np.full(3**n, 1.0 / 3**n)
         for q in range(1, m + 1):
-            x = (stack.pop_batch(n) + 1.0) / 2.0 if points is None else points[q - 1]
+            x = ((stack.pop_batch(n) + 1.0) / 2.0 if points is None
+                 else points if points.ndim == 1 else points[q - 1])
             vals = candidate_values(n, TorusPoint(x))
             y = 1 if stack.pop() < vals[hidden] else -1
             info._bayes_step(weights, y * vals)
@@ -378,7 +379,7 @@ def test_identify_chunk_equals_per_trial_identification(n, tol, seed, start, cou
 def test_batched_transcript_entropies_equal_scalar_loop(data, n, m, queries, seed, start, count):
     # the CLI's point at every query, or m drawn points, one per query
     spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if queries == "fixed" else "uniform"
-    points = info._query_points(spec, n, m)
+    points = info._query_points(spec, n)
     if queries == "distinct":
         points = data.draw(_points(n, m))
     got = mi_transcript_chunk(n, points, m, start, count, seed)
@@ -406,7 +407,7 @@ def test_small_sub_blocks_equal_per_trial_loops():
     )
     def case(data, n, rows, m, queries, tol, seed, start, count):
         spec = ("fixed", tuple(data.draw(_points(n, 1))[0])) if queries == "fixed" else "uniform"
-        points = data.draw(_points(n, m)) if queries == "distinct" else info._query_points(spec, n, m)
+        points = data.draw(_points(n, m)) if queries == "distinct" else info._query_points(spec, n)
         offsets = []  # a group after the first reads its draws past offset 1
 
         def spy(bases, offset, k):
@@ -439,7 +440,7 @@ def test_transcript_entropies_equal_scalar_loop_at_n_1_and_8(n, queries):
     drawn[2] = GridShift.from_index(n, 1).to_point().array()  # zero likelihoods
     points = {
         "uniform": None,
-        "fixed": info._query_points(("fixed", tuple(drawn[0])), n, m),
+        "fixed": info._query_points(("fixed", tuple(drawn[0])), n),
         "distinct": drawn,
     }[queries]
     got = mi_transcript_chunk(n, points, m, 40, 40, 2024)

@@ -7,7 +7,6 @@ from plateaulab.rng import (
     _MASK,
     RandomStack,
     _mix64,
-    _unit_bins_at,
     _values_at,
     advance,
     first_indices,
@@ -16,6 +15,8 @@ from plateaulab.rng import (
     uniforms_at,
     unit_uniforms_at,
 )
+
+from plateaulab.training import BINS, _x_bins
 
 from edge_streams import edge_bases, unmix64
 
@@ -187,20 +188,20 @@ def test_unit_uniforms_equal_halved_uniforms_to_the_bit():
 
 
 def test_unit_bins_equal_binned_unit_uniforms():
-    # random search's screen reads int(x * 4096) from the top 12 bits of a
-    # draw's 64-bit value.  The edge streams above, and the ends of bins 0, 1
-    # and 4095 of 4096, each with the 11 bits below z clear and set; then the
-    # random cells above, at 2, 4096 and 2**53 bins
+    # random search's screen (training._x_bins) reads int(x * 4096) from the
+    # top 12 bits of a draw's 64-bit value.  The edge streams above, and the
+    # ends of bins 0, 1 and 4095 of 4096, each with the 11 bits below z clear
+    # and set; then the random cells above
+    assert BINS == 4096
     edges = [0, 1, 2**52, 2**53 - 1, 2**41 - 1, 2**41, 2**42 - 1, 2**53 - 2**41]
     at_edges = np.concatenate([edge_bases(edges), edge_bases(edges, 2**11 - 1)])
     assert unit_uniforms_at(at_edges, 0).tolist() == [z * 2.0**-53 for z in edges] * 2
-    assert _unit_bins_at(at_edges, 0, 4096).tolist() == [z >> 41 for z in edges] * 2
+    assert _x_bins(at_edges, 0).tolist() == [z >> 41 for z in edges] * 2
     # _values_at: the whole 64-bit values, z and the 11 bits below it
     assert _values_at(at_edges, 0).tolist() == [z << 11 | low for low in (0, 2047) for z in edges]
     bases = advance(stream_bases(3, np.arange(50))[:, None], np.arange(40))
     for s, j in ((at_edges, 0), (bases, 7), (bases[:, :1], np.arange(12)), (bases[3], 2**40)):
-        for bins in (2, 4096, 2**53):
-            want = (unit_uniforms_at(s, j) * bins).astype(np.intp)
-            assert _unit_bins_at(s, j, bins).tobytes() == want.tobytes()
+        want = (unit_uniforms_at(s, j) * BINS).astype(np.intp)
+        assert _x_bins(s, j).tobytes() == want.tobytes()
         z = _values_at(s, j) >> np.uint64(11)
         assert (z * 2.0**-53).tobytes() == unit_uniforms_at(s, j).tobytes()

@@ -1,5 +1,8 @@
+import ast
+import inspect
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from plateaulab.torus import (
     TorusPoint,
     _scaled_grid_dist,
     bohr_dist,
+    check_cap,
     far_bits,
     far_coords,
     far_count_array,
@@ -263,5 +267,21 @@ def test_front_ends_refuse_n_above_n_max_before_fan_out(monkeypatch, front_end):
     for module in (game, training, info):
         monkeypatch.setattr(module, "run_chunks", no_sweep)
     for n in (N_MAX + 1, 10_000):  # before any cap message that formats 3^n
-        with pytest.raises(ValueError, match=f"^n={n} exceeds {N_MAX}: 3\\^n shifts overflow"):
+        match = f"^n={n} exceeds float cap {N_MAX}: 3\\^n shifts overflow"
+        with pytest.raises(ValueError, match=match):
             _FRONT_ENDS[front_end](n)
+
+
+def test_every_size_refusal_is_check_caps():
+    # one size rule: "exceeds" appears in exactly one raise of the package,
+    # check_cap's, so a second refusal form fails here
+    src = Path(__file__).resolve().parents[1] / "src" / "plateaulab"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Raise) and "exceeds" in ast.get_source_segment(text, node):
+                found.append((path.name, node.lineno))
+    lines, first = inspect.getsourcelines(check_cap)
+    assert len(found) == 1
+    assert found[0][0] == "torus.py" and first <= found[0][1] < first + len(lines)
