@@ -23,7 +23,7 @@ LOG2_3 = math.log2(3)
 
 MI_N_CAP = 8  # bounds time, not memory: a 3**n-entry Bayes step per transcript and query
 MI_TRANSCRIPTS_CAP = 10**7  # the merged entropy list: about 40 bytes per transcript (measured)
-IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~32 3**n bytes: 51 MB at 13
+IDENTIFY_N_CAP = 13  # a 3**n candidate row and its temporaries, ~28 3**n bytes: 45 MB at 13
 _TRIT_SHIFTS = np.arange(GRID_BASE) / GRID_BASE  # t/3 for each trit t
 
 
@@ -39,7 +39,7 @@ def _block_rows(n: int) -> int:
 def _check_table(n: int) -> None:
     """Refuse a 3**n candidate row above IDENTIFY_N_CAP before it is built."""
     check_cap("n", check_n(n), IDENTIFY_N_CAP, "candidate-table",
-              f"a row of 3^{n} candidates needs about {32e-9 * GRID_BASE**n:.3g} GB")
+              f"a row of 3^{n} candidates needs about {28e-9 * GRID_BASE**n:.3g} GB")
 
 
 def candidate_block(points: np.ndarray) -> np.ndarray:
@@ -50,7 +50,12 @@ def candidate_block(points: np.ndarray) -> np.ndarray:
     significant trit, and each value is multiplied in coordinate order,
     ((h_0 h_1) h_2) ..., from h(wrap01(x_j - a_j)): the float operations of
     ShiftedProductFunction.__call__, so for points in [0, 1) each value
-    equals f_a(TorusPoint(x)) to the bit.
+    equals f_a(TorusPoint(x)) to the bit, but for the sign of an exact zero.
+    Each coordinate is one einsum outer product, which adds every product
+    into a zeroed output, so a -0.0 product reads +0.0 (h is exactly 0.0
+    where cos rounds to -0.5).  No caller reads that sign: MI reads a value
+    only through 1 + y v, u < v and > 0, and identification through
+    |v - value| <= tol.
     """
     _check_table(points.shape[1])
     # h(wrap01(x_j - t/3)) for each row, coordinate j and trit t
@@ -61,7 +66,7 @@ def _tensor_product(htab: np.ndarray) -> np.ndarray:
     """candidate_block's products from its (rows, n, 3) h-factors; n = 1: a view, n = 0: ones."""
     vals = htab[:, 0, :] if htab.shape[1] else np.ones((len(htab), 1))
     for j in range(1, htab.shape[1]):
-        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(len(htab), GRID_BASE**(j + 1))
+        vals = np.einsum("rt,rl->rtl", htab[:, j, :], vals).reshape(len(htab), GRID_BASE**(j + 1))
     return vals
 
 
@@ -181,12 +186,16 @@ def _query_points(spec, n: int) -> Optional[np.ndarray]:
 def _row_entropies(weights: np.ndarray) -> np.ndarray:
     """Entropy in bits of each row of unnormalised weights.
 
-    Rows are grouped by their number of positive entries, so that each
-    row's sum runs over the same compacted terms, in the same order, as
+    A block with no zero probability takes every row's terms in place.
+    Otherwise rows are grouped by their number of positive entries, so that
+    each row's sum runs over the same compacted terms, in the same order, as
     the entropy of that row alone; a row with no zero needs no compaction.
     """
     p = weights / weights.sum(axis=1, keepdims=True)
-    positive = weights > 0
+    if p.min(initial=1.0) > 0:  # no zero: every row sums all its terms, in place
+        p *= np.log2(p)
+        return -p.sum(axis=1)
+    positive = p > 0
     sizes = np.count_nonzero(positive, axis=1)
     out = np.empty(len(weights))
     for size in set(sizes.tolist()):
@@ -212,8 +221,10 @@ def mi_transcript_chunk(
     over coordinates 0..n-2) serve the answers and the Bayes steps; listed
     points build both on one row, which every trial of the sub-block reads.
     Each query's likelihood row is the prefix row times the top coordinate's
-    y-signed factors, written into one reused buffer: the float operations of
-    candidate_values, so every entropy equals a per-trial loop's to the bit.
+    y-signed factors, written by one einsum into one reused buffer: the values
+    of candidate_values to the bit, but for the sign of an exact zero, which
+    neither 1 + y v nor u < f can see, so every entropy equals a per-trial
+    loop's to the bit.
     """
     if points is not None and points.ndim == 1:  # a view: no chunk argument grows with m
         points = np.broadcast_to(points, (m, n))
@@ -244,8 +255,7 @@ def mi_transcript_chunk(
             y = np.where(u[..., -1] < f, 1.0, -1.0)
             top = htab[..., -1, :] * y[..., None]  # y = +-1: products times y, to the bit
             for q in range(k):
-                for t in range(GRID_BASE):
-                    np.multiply(prefix[:, q], top[:, q, t, None], out=buf[:, t])
+                np.einsum("rt,rl->rtl", top[:, q], prefix[:, q], out=buf)
                 _bayes_step(weights.reshape(rows, GRID_BASE, low), buf)
             del u, x, htab, head, prefix, f, y, top  # freed before the next group's: peak memory
         out[lo : lo + step] = _row_entropies(weights)

@@ -177,7 +177,7 @@ def test_mi_caps():
 
 def test_candidate_tables_refused_above_the_identify_cap():
     # n = 14 only: unchecked, these tables take about 0.2 GB at most
-    match = r"^n=14 exceeds candidate-table cap 13: a row of 3\^14 candidates needs about 0.153 GB$"
+    match = r"^n=14 exceeds candidate-table cap 13: a row of 3\^14 candidates needs about 0.134 GB$"
     point = TorusPoint([0.1] * 14)
     f = ShiftedProductFunction(14, GridShift.zero(14))
     for build in (
@@ -239,6 +239,38 @@ def _gathered_candidate_values(points):
         htab = h_eval_array(wrap01_array(x[:, None] - np.arange(3)[None, :] / 3))
         out.append(np.prod(htab[np.arange(n)[None, :], trits], axis=1))
     return np.array(out)
+
+
+def _broadcast_tensor_product(htab):
+    """Reference: info._tensor_product's stages as broadcast multiplies,
+    htab[:, j, :, None] * vals[:, None, :], which keep the sign of a zero product."""
+    vals = htab[:, 0, :] if htab.shape[1] else np.ones((len(htab), 1))
+    for j in range(1, htab.shape[1]):
+        vals = (htab[:, j, :, None] * vals[:, None, :]).reshape(len(htab), 3 ** (j + 1))
+    return vals
+
+
+def _assert_bits_but_zero_sign(got, want):
+    """got equals want bit for bit, but for +0.0 where want holds -0.0."""
+    assert got.shape == want.shape
+    got_bits, want_bits = got.view(np.uint64), want.view(np.uint64)
+    differ = got_bits != want_bits
+    assert (got_bits[differ] == 0).all() and (want_bits[differ] == 1 << 63).all()
+
+
+@pytest.mark.parametrize("rows", [1, 60])
+@pytest.mark.parametrize("n", range(9))
+def test_candidate_block_equals_broadcast_product(n, rows):
+    # uniform points with every third coordinate on the 1/6 grid, where factors
+    # are negative or near 0 (np.cos gives h within 3e-16 of 0, not 0.0, at 1/3
+    # and 2/3; exact zeros are the stage test's); n = 0 is the product of ones
+    x = (RandomStack(n, rows).pop_batch(rows * n).reshape(rows, n) + 1.0) / 2.0
+    x[:, ::3] = np.resize([0.0, 1 / 3, 2 / 3, 1 / 6, 0.5, 5 / 6], x[:, ::3].shape)
+    htab = h_eval_array(wrap01_array(x[:, :, None] - np.arange(3) / 3))
+    want = _broadcast_tensor_product(htab)
+    _assert_bits_but_zero_sign(info._tensor_product(htab), want)
+    if n:
+        _assert_bits_but_zero_sign(candidate_block(x), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -470,6 +502,30 @@ _finite_double = st.one_of(
 )
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(0, 5),
+    rows=st.integers(1, 4),
+    factor=st.sampled_from([_finite_double, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1.0, 1.0])]),
+)
+def test_tensor_product_equals_broadcast_but_for_zero_sign(data, n, rows, factor):
+    # each stage adds its products into a zeroed output: only -0.0 + 0.0 differs
+    htab = np.array(data.draw(st.lists(factor, min_size=rows * n * 3, max_size=rows * n * 3)))
+    htab = htab.reshape(rows, n, 3)
+    with np.errstate(all="ignore"):  # products may overflow, and inf * 0.0 is NaN
+        _assert_bits_but_zero_sign(info._tensor_product(htab), _broadcast_tensor_product(htab))
+
+
+def test_tensor_product_zero_sign():
+    # the one difference from the broadcast: zero products read +0.0
+    htab = np.array([[[0.0, 2.0, 1.0], [-1.0, 3.0, -0.0]]])
+    got, want = info._tensor_product(htab)[0], _broadcast_tensor_product(htab)[0]
+    assert np.signbit(want).tolist() == [True, True, True, False, False, False, True, True, True]
+    assert np.signbit(got).tolist() == [False, True, True, False, False, False, False, False, False]
+    assert got.tolist() == want.tolist() == [-0.0, -2.0, -1.0, 0.0, 6.0, 3.0, 0.0, 0.0, 0.0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(xs=st.lists(_finite_double, min_size=1, max_size=40))
 def test_halving_by_multiplying_equals_dividing(xs):
@@ -482,13 +538,19 @@ def test_halving_by_multiplying_equals_dividing(xs):
 
 @st.composite
 def _weight_rows(draw):
-    """Rows of unnormalised weights, at least one of each kind: all positive,
-    holding zeros, and a single positive entry."""
+    """A block of unnormalised weight rows: every entry positive, or a mix
+    with at least one row of each kind (all positive, holding zeros, and a
+    single positive entry).  The smallest subnormal weight can make a
+    probability 0.0 in a row with no zero weight."""
     size = draw(st.integers(2, 12))
-    kinds = draw(st.lists(st.sampled_from(["positive", "zeros", "single"]), max_size=6))
+    if draw(st.booleans()):
+        kinds = ["positive"] * draw(st.integers(1, 6))
+    else:
+        extra = draw(st.lists(st.sampled_from(["positive", "zeros", "single"]), max_size=6))
+        kinds = draw(st.permutations(["positive", "zeros", "single"] + extra))
     out = []
-    for kind in draw(st.permutations(["positive", "zeros", "single"] + kinds)):
-        row = draw(st.lists(st.one_of(st.floats(1e-150, 1.0), st.sampled_from([1 / 3, 0.5])),
+    for kind in kinds:
+        row = draw(st.lists(st.one_of(st.floats(1e-150, 1.0), st.sampled_from([1 / 3, 0.5, 5e-324])),
                             min_size=size, max_size=size))
         if kind == "zeros":  # at least one zero and one positive entry
             zeros = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=size - 1))
@@ -508,8 +570,8 @@ def test_row_entropies_equal_per_row_entropy(weights):
         p = p[p > 0]
         return -np.sum(p * np.log2(p))
 
-    want = [entropy(w) for w in weights]
-    assert info._row_entropies(weights).tolist() == want
+    want = np.array([entropy(w) for w in weights])
+    assert info._row_entropies(weights).view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_mi_rejects_bad_specs(monkeypatch):
